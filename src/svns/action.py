@@ -31,7 +31,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import (
-    PhaseTable,
     PointEvaluator,
     SpectralField,
     TorusGrid,
@@ -360,7 +359,7 @@ class _ActionObserver(FlowObserver):
         return TWO_PI**2 * vals.mean(axis=-1)
 
     def accumulate(self, node, t, ens, drift_values, drift_grads, weight):
-        table = PhaseTable(ens.positions)
+        table = self.node_table(ens)
         g = self.grid
         pc = self.pressure.coeffs_at(t)
         pstack = table.evaluate(PointEvaluator(g, np.stack([
@@ -618,7 +617,7 @@ class _PairingObserver(FlowObserver):
             self.residual_norm, float(np.max(np.abs(_ifft(res)))))
         if self.pert._w_eval is None:
             return
-        table = PhaseTable(ens.positions)
+        table = self.node_table(ens)
         rvals = table.evaluate(PointEvaluator(self.grid, res))
         a = self.pert.envelope.value(t)
         w = table.evaluate(self.pert._w_eval)[:2]

@@ -9,7 +9,12 @@ Real fields keep the full complex coefficient array with the conjugate symmetry
 u_hat(-k) = conj(u_hat(k)) enforced explicitly. Products are formed on the grid
 and dealiased by the 2/3 rule (modes with any |k_i| >= n/3 zeroed). Off-grid
 evaluation is direct Fourier summation over the nonzero modes, which is exact
-for band-limited fields.
+for band-limited fields. Since only real parts are returned, each stack is
+folded once onto the half plane k2 >= 0 (d_k = c_k + conj(c_{-k})), which
+halves the multiply-adds without assuming conjugate symmetry; the phases of
+one point set live in a PhaseTable that a flow pass builds once per node and
+shares between the drift and every observer, and the contraction runs in
+fixed blocks of points.
 """
 
 from __future__ import annotations
@@ -348,10 +353,21 @@ def momentum(v: SpectralVectorField) -> np.ndarray:
 class PointEvaluator:
     """Direct-summation evaluator for a stack of coefficient arrays.
 
-    The stack is trimmed to the rows/columns that carry nonzero coefficients,
-    which is exact and keeps the per-point cost proportional to the active
-    band. Evaluation at P points costs O(P * active modes) through two
-    complex matmuls with shared phase matrices.
+    The stack is trimmed to the rows/columns that carry nonzero coefficients
+    (wavenumbers `kr`, `kc`, trimmed stack `sub`), which is exact and keeps
+    the per-point cost proportional to the active band.
+
+    Only real parts are returned, and for any stack
+
+        Re sum_k c_k e^{ik.x} = Re sum_{k2 >= 0} d_k e^{ik.x},
+        d_k = c_k + conj(c_{-k}) for k2 > 0,  d_k = c_k for k2 = 0,
+
+    so the contraction runs over half the plane without assuming conjugate
+    symmetry. The fold is computed once here. Its rows are the trimmed rows
+    together with their negatives, so every folded term has a slot; a -n/2
+    row yields a +n/2 row, which is off the grid but a valid phase. An
+    unpaired -n/2 column has no +n/2 partner and enters as conj(c) at
+    (-k1, n/2), the same term.
     """
 
     def __init__(self, grid: TorusGrid, coeffs_stack: np.ndarray):
@@ -376,10 +392,34 @@ class PointEvaluator:
         self.kc = grid.k[cols].astype(np.float64)
         sub = stack[np.ix_(np.arange(self.nfields), rows, cols)]
         self.sub = np.ascontiguousarray(sub)
+        # the fold onto k2 >= 0: a term at (k1, k2 < 0) moves to (-k1, -k2)
+        k1, k2 = grid.k[rows], grid.k[cols]
+        frows = np.union1d(k1, -k1)
+        fcols = np.unique(np.abs(k2))
+        neg = k2 < 0
+        fold = np.zeros((self.nfields, frows.size, fcols.size), dtype=np.complex128)
+        fold[:, np.searchsorted(frows, k1)[:, None],
+             np.searchsorted(fcols, k2[~neg])] = sub[:, :, ~neg]
+        fold[:, np.searchsorted(frows, -k1)[:, None],
+             np.searchsorted(fcols, -k2[neg])] += np.conj(sub[:, :, neg])
+        self.rows = tuple(int(k) for k in frows)
+        self.cols = tuple(int(k) for k in fcols)
+        # the contraction operand: real (nfields, 2 * rows * cols) holding
+        # [Re d, -Im d] for the outer-product path, complex (nfields * cols,
+        # rows) for the row matmul
+        self.outer = frows.size * fcols.size <= PhaseTable._SMALL_BLOCK
+        if self.outer:
+            flat = fold.reshape(self.nfields, -1)
+            self.coef = np.concatenate([flat.real, -flat.imag], axis=1)
+        else:
+            self.coef = np.ascontiguousarray(
+                fold.transpose(0, 2, 1)).reshape(-1, frows.size)
 
-    def __call__(self, points: np.ndarray) -> np.ndarray:
-        """Evaluate every field of the stack; returns (nfields,) + points.shape[:-1]."""
-        return PhaseTable(points).evaluate(self)
+    def __call__(self, points) -> np.ndarray:
+        """Evaluate every field of the stack at raw points or at the points of
+        a PhaseTable; returns (nfields,) + points.shape[:-1]."""
+        table = points if isinstance(points, PhaseTable) else PhaseTable(points)
+        return table.evaluate(self)
 
 
 class PhaseTable:
@@ -387,15 +427,23 @@ class PhaseTable:
     point set.
 
     Only the base phases e^{i x_axis} are exponentiated; every other
-    e^{i k x} column comes from the power ladder by repeated multiplication,
-    and assembled column matrices are cached per mode set, so each additional
-    stack evaluated at the same points costs only its trimmed contraction.
+    e^{i k x} row of an axis's ladder comes from in-place multiplication into
+    one preallocated array. A run of consecutive nonnegative wavenumbers is a
+    view of the ladder; other mode sets (the symmetric row sets of folded
+    stacks) are assembled once and cached, so each additional stack
+    evaluated at the same points costs only its half-plane contraction.
+    A flow pass builds one table per node's positions and shares it between
+    the drift and every observer.
     """
 
-    # a mode block up to this many entries is contracted through a single
-    # matmul with a cached outer-product phase matrix; larger blocks go
-    # row-matrix by row-matrix to bound the temporaries
+    # a folded mode block up to this many entries is contracted through a
+    # single matmul with a cached outer-product phase matrix; larger blocks
+    # go through a matmul over the rows and a column sum
     _SMALL_BLOCK = 64
+    # points per contraction block: bounds the complex temporaries to a few
+    # hundred kB whatever the point count; a fixed constant, so results do
+    # not depend on the machine
+    POINT_BLOCK = 1024
 
     def __init__(self, points: np.ndarray):
         pts = np.asarray(points, dtype=np.float64)
@@ -404,10 +452,9 @@ class PhaseTable:
         self.lead = pts.shape[:-1]
         flat = pts.reshape(-1, 2)
         self.npts = flat.shape[0]
-        self._base = [np.exp(1j * flat[:, 0]), np.exp(1j * flat[:, 1])]
         # _ladder[axis][k] = e^{i k x_axis} for k = 0..top, grown on demand
-        ones = np.ones((1, self.npts), dtype=np.complex128)
-        self._ladder = [ones, ones]
+        ones = np.ones(self.npts, dtype=np.complex128)
+        self._ladder = [np.stack([ones, np.exp(1j * flat[:, axis])]) for axis in (0, 1)]
         self._matrices: dict = {}
         self._outers: dict = {}
 
@@ -415,59 +462,57 @@ class PhaseTable:
         ladder = self._ladder[axis]
         have = ladder.shape[0]
         if top >= have:
-            top = max(top, 2 * have - 1)  # geometric growth caps reallocations
-            ext = np.broadcast_to(self._base[axis], (top - have + 1, self.npts))
-            ext = np.cumprod(ext, axis=0) * ladder[-1]
-            ladder = np.concatenate([ladder, ext])
-            self._ladder[axis] = ladder
+            grown = np.empty((top + 1, self.npts), dtype=np.complex128)
+            grown[:have] = ladder
+            for k in range(have, top + 1):
+                np.multiply(grown[k - 1], grown[1], out=grown[k])
+            self._ladder[axis] = ladder = grown
         return ladder
 
-    def column(self, axis: int, k: int) -> np.ndarray:
-        """e^{i k x_axis} at every point, from the cached power ladder."""
-        col = self._grow(axis, abs(k))[abs(k)]
-        return np.conj(col) if k < 0 else col
-
     def matrix(self, axis: int, ks: tuple[int, ...]) -> np.ndarray:
-        """Assembled (len(ks), npts) phase matrix, cached per mode tuple."""
+        """(len(ks), npts) phase matrix e^{i k x_axis} for ascending ks."""
+        ladder = self._grow(axis, max(-ks[0], ks[-1]))
+        if ks[0] >= 0 and ks[-1] - ks[0] + 1 == len(ks):
+            return ladder[ks[0]:ks[-1] + 1]
         key = (axis, ks)
         mat = self._matrices.get(key)
         if mat is None:
             arr = np.asarray(ks)
-            ladder = self._grow(axis, int(np.abs(arr).max(initial=0)))
-            mat = ladder[np.abs(arr)].copy()
+            mat = ladder[np.abs(arr)]
             neg = arr < 0
-            if neg.any():
-                mat[neg] = np.conj(mat[neg])
+            mat[neg] = np.conj(mat[neg])
             self._matrices[key] = mat
         return mat
 
     def _outer(self, kr: tuple[int, ...], kc: tuple[int, ...]) -> np.ndarray:
-        """(len(kr) * len(kc), npts) matrix of e^{i(k1 x1 + k2 x2)} products."""
+        """Real (2 * len(kr) * len(kc), npts) matrix stacking the real parts,
+        then the imaginary parts, of the e^{i(k1 x1 + k2 x2)} products."""
         key = (kr, kc)
         mat = self._outers.get(key)
         if mat is None:
             e1 = self.matrix(0, kr)
             e2 = self.matrix(1, kc)
-            mat = (e1[:, None, :] * e2[None, :, :]).reshape(-1, self.npts)
+            prod = (e1[:, None, :] * e2[None, :, :]).reshape(-1, self.npts)
+            mat = np.concatenate([prod.real, prod.imag])
             self._outers[key] = mat
         return mat
 
     def evaluate(self, ev: PointEvaluator) -> np.ndarray:
-        """Evaluate a trimmed stack; returns (nfields,) + points.shape[:-1]."""
-        kr = tuple(int(k) for k in ev.kr)
-        kc = tuple(int(k) for k in ev.kc)
-        na, nb = len(kr), len(kc)
-        if na * nb <= self._SMALL_BLOCK:
-            o = self._outer(kr, kc)
-            flat = ev.sub.reshape(ev.nfields, na * nb)
-            out = (flat @ o).real
+        """Evaluate a folded stack; returns (nfields,) + points.shape[:-1]."""
+        out = np.empty((ev.nfields, self.npts))
+        if ev.outer:
+            # Re(d e) = Re d Re e - Im d Im e: one real matmul, no complex temporary
+            np.matmul(ev.coef, self._outer(ev.rows, ev.cols), out=out)
         else:
-            e1 = self.matrix(0, kr)
-            e2 = self.matrix(1, kc)
-            t = ev.sub.transpose(1, 0, 2).reshape(na, ev.nfields * nb).T @ e1
-            t = t.reshape(ev.nfields, nb, self.npts)
-            out = np.einsum("fbp,bp->fp", t, e2).real
-        return np.ascontiguousarray(out).reshape((ev.nfields,) + self.lead)
+            e1 = self.matrix(0, ev.rows)
+            e2 = self.matrix(1, ev.cols)
+            step = self.POINT_BLOCK
+            for s in range(0, self.npts, step):
+                t = ev.coef @ e1[:, s:s + step]
+                t = t.reshape(ev.nfields, len(ev.cols), -1)
+                t *= e2[:, s:s + step]
+                out[:, s:s + step] = t.sum(axis=1).real
+        return out.reshape((ev.nfields,) + self.lead)
 
 
 def evaluate_at(field, points: np.ndarray) -> np.ndarray:

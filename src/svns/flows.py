@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtri
 
-from .fields import PointEvaluator, SpectralField, TorusGrid, mean_value
+from .fields import PhaseTable, PointEvaluator, SpectralField, TorusGrid, mean_value
 from .solver import DriftField
 
 __all__ = [
@@ -188,7 +188,17 @@ class FlowObserver:
     `weight` carries the time-quadrature weight of the node (zero when the
     caller asked for no quadrature), drift_values/drift_grads the drift and
     its gradient already evaluated at the current positions.
+
+    While run_flow calls accumulate, `table` holds the PhaseTable of the
+    node's positions that the drift was evaluated with; run_flow clears it
+    when accumulate returns. `node_table` returns it, or builds a table when the
+    observer is called outside run_flow.
     """
+
+    table: PhaseTable | None = None
+
+    def node_table(self, ens: FlowEnsemble) -> PhaseTable:
+        return self.table if self.table is not None else PhaseTable(ens.positions)
 
     def accumulate(self, node: int, t: float, ens: FlowEnsemble,
                    drift_values: np.ndarray, drift_grads: np.ndarray | None,
@@ -221,20 +231,32 @@ def run_flow(ens: FlowEnsemble, drift: DriftField, nu: float, dt: float,
     The drift and its gradient are evaluated once per node and shared between
     the observers and the step, so all observers see the same path: common
     random numbers across any functionals accumulated in one pass.
+
+    One PhaseTable of the node positions serves the drift (when it is a
+    DriftField; other drift objects get the raw positions) and every
+    observer, through the observers' `table` attribute. It is released
+    before the step, so no table outlives its node; the predictor stage
+    builds one table of its own.
     """
     if weights is not None and len(weights) != steps + 1:
         raise ValueError("weights must have steps+1 entries")
     if driver.replicas != ens.replicas:
         raise ValueError("driver and ensemble disagree on the replica count")
     for i in range(steps + 1):
-        track = ens.jacobians is not None
-        if track:
-            v1, h1 = drift.velocity_and_gradient(ens.t, ens.positions)
+        table = PhaseTable(ens.positions)
+        at = table if isinstance(drift, DriftField) else ens.positions
+        if ens.jacobians is not None:
+            v1, h1 = drift.velocity_and_gradient(ens.t, at)
         else:
-            v1, h1 = drift.velocity(ens.t, ens.positions), None
+            v1, h1 = drift.velocity(ens.t, at), None
         w = 0.0 if weights is None else float(weights[i])
         for obs in observers:
-            obs.accumulate(i, ens.t, ens, v1, h1, w)
+            obs.table = table
+            try:
+                obs.accumulate(i, ens.t, ens, v1, h1, w)
+            finally:
+                obs.table = None
+        del table, at
         if i < steps:
             ens = _step_core(ens, drift, nu, dt, driver, v1, h1)
     return ens

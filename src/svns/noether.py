@@ -183,7 +183,7 @@ class _InvarianceObserver(FlowObserver):
 
     def accumulate(self, node, t, ens, drift_values, drift_grads, weight):
         self.times[node] = t
-        table = PhaseTable(ens.positions)
+        table = self.node_table(ens)
         pair = self.pair
         a = pair.envelope.value(t)
         da = pair.envelope.derivative(t)
@@ -310,15 +310,12 @@ class _ChargeObservable:
         pair = self.pair
         a = pair.envelope.value(t)
         out = np.zeros(positions.shape[:-1])
-        table = None
+        table = PhaseTable(positions)
         if pair._eta_eval is not None:
-            table = PhaseTable(positions)
             e = table.evaluate(pair._eta_eval)
-            v = self.drift.velocity(t, positions)
+            v = self.drift.velocity(t, table)
             out += a * (v[..., 0] * e[0] + v[..., 1] * e[1])
         if pair._g_eval is not None:
-            if table is None:
-                table = PhaseTable(positions)
             out -= a * table.evaluate(pair._g_eval)[0]
         return TWO_PI**2 * out.mean(axis=-1)
 

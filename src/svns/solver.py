@@ -355,13 +355,15 @@ class DriftField:
             self._v_cache[t] = ev
         return ev
 
-    def velocity(self, t: float, points: np.ndarray) -> np.ndarray:
-        """v(t, .) at arbitrary points; returns points.shape[:-1] + (2,)."""
+    def velocity(self, t: float, points) -> np.ndarray:
+        """v(t, .) at arbitrary points, given raw or as a PhaseTable of the
+        points; returns points.shape[:-1] + (2,)."""
         vals = self._stack_v(t)(points)
         return np.moveaxis(vals, 0, -1)
 
-    def velocity_and_gradient(self, t: float, points: np.ndarray):
-        """v and grad v at arbitrary points: shapes (..., 2) and (..., 2, 2)."""
+    def velocity_and_gradient(self, t: float, points):
+        """v and grad v at arbitrary points, given raw or as a PhaseTable:
+        shapes (..., 2) and (..., 2, 2)."""
         vals = self._stack_vg(t)(points)
         v = np.moveaxis(vals[:2], 0, -1)
         h = np.moveaxis(vals[2:].reshape((2, 2) + vals.shape[1:]), (0, 1), (-2, -1))

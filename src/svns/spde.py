@@ -473,8 +473,12 @@ def ensemble_mode_means(v0: SpectralVectorField, config: SPDEConfig, seed: int,
     modes are (component, k1, k2) integer triples. Replicas run in
     independent chunks to bound memory; each chunk derives its driver seed
     from the base seed and the chunk index by a fixed 64-bit mix, so the
-    result is a pure function of (seed, replica count, parameters).
+    result is a pure function of (seed, replica count, parameters). The
+    standard errors need at least two replicas.
     """
+    if config.replicas < 2:
+        raise ValueError(
+            f"mode means need at least 2 replicas for a standard error, got {config.replicas}")
     g = v0.grid
     idx = {int(k): i for i, k in enumerate(g.k)}
     sel = []
@@ -568,7 +572,7 @@ class _TildeObserver(FlowObserver):
             j = ens.jacobians
             det = (j[..., 0, 0] * j[..., 1, 1] - j[..., 0, 1] * j[..., 1, 0])
             pc = self.pressure.coeffs_at(t)
-            pvals = PointEvaluator(self.grid, pc[None])(ens.positions)[0]
+            pvals = self.node_table(ens).evaluate(PointEvaluator(self.grid, pc[None]))[0]
             self.constraint += weight * TWO_PI**2 * (pvals * (det - 1.0)).mean(axis=-1)
         if node < self.steps:
             # left-endpoint Ito sums against the coming increment; the

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from svns import fields as F
 
@@ -257,6 +259,77 @@ class TestEvaluateAt:
         pts = np.array([[0.3, 1.2], [4.0, 5.5]])
         expect = np.cos(pts[:, 0] + pts[:, 1]) + 0.5 * np.sin(pts[:, 0] + pts[:, 1])
         assert np.max(np.abs(ev(pts)[0] - expect)) < 1e-14
+
+
+@st.composite
+def _banded_stacks(draw, large):
+    """(grid, stack, points): a random complex stack, not conjugate-symmetric,
+    on arbitrary row and column subsets (the -n/2 index included at will),
+    and a point count that is rarely a multiple of the point block."""
+    n = 16 if large else draw(st.sampled_from([8, 16]))
+    if large:  # all but a few rows and columns: the row-matmul path
+        drop = st.sets(st.integers(0, n - 1), max_size=3)
+        rows = sorted(set(range(n)) - draw(drop))
+        cols = sorted(set(range(n)) - draw(drop))
+    else:  # a handful of modes: the outer-product path
+        pick = st.sets(st.integers(0, n - 1), min_size=1, max_size=3)
+        rows, cols = sorted(draw(pick)), sorted(draw(pick))
+    if draw(st.booleans()):
+        rows = sorted(set(rows) | {n // 2})
+    if draw(st.booleans()):
+        cols = sorted(set(cols) | {n // 2})
+    nfields = draw(st.integers(1, 4))
+    npts = draw(st.integers(1, 2 * F.PhaseTable.POINT_BLOCK + 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    stack = np.zeros((nfields, n, n), dtype=complex)
+    shape = (nfields, len(rows), len(cols))
+    stack[np.ix_(range(nfields), rows, cols)] = (rng.standard_normal(shape)
+                                                 + 1j * rng.standard_normal(shape))
+    points = rng.uniform(-10.0, 10.0, size=(npts, 2))
+    return F.TorusGrid(n), stack, points
+
+
+class TestHalfPlaneContraction:
+    @staticmethod
+    def _direct(grid, stack, points):
+        """Re sum_k c_k e^{ik.x} over every grid mode, one exp per term."""
+        phase = np.exp(1j * (points[:, 0, None, None] * grid.k1
+                             + points[:, 1, None, None] * grid.k2))
+        return np.einsum("fab,pab->fp", stack, phase).real
+
+    def _check(self, grid, stack, points, outer):
+        ev = F.PointEvaluator(grid, stack)
+        assert ev.outer == outer
+        got = F.PhaseTable(points).evaluate(ev)
+        ref = self._direct(grid, stack, points)
+        assert got.shape == ref.shape
+        # relative to the size of the summed terms, sum_k |c_k|, so that a
+        # sum that cancels to near zero at some point does not inflate it
+        scale = np.abs(stack).sum(axis=(1, 2)).max()
+        assert np.max(np.abs(got - ref)) <= 1e-12 * scale
+
+    @settings(max_examples=40, deadline=None)
+    @given(_banded_stacks(large=False))
+    def test_small_blocks_match_direct_sum(self, case):
+        self._check(*case, outer=True)
+
+    @settings(max_examples=40, deadline=None)
+    @given(_banded_stacks(large=True))
+    def test_large_blocks_match_direct_sum(self, case):
+        self._check(*case, outer=False)
+
+    def test_nyquist_row_needs_its_mirror(self):
+        """A -n/2 row folds onto the +n/2 row, which the grid does not hold."""
+        g = F.TorusGrid(16)
+        c = np.zeros((1, 16, 16), dtype=complex)
+        c[0, 8, 3] = 1.0 - 2.0j   # k = (-8, 3)
+        c[0, 8, 13] = 0.5j        # k = (-8, -3): folds onto (8, 3)
+        ev = F.PointEvaluator(g, c)
+        assert ev.rows == (-8, 8) and ev.cols == (3,)
+        pts = np.array([[0.3, 1.1], [2.5, -4.0], [7.0, 0.2]])
+        expect = ((1.0 - 2.0j) * np.exp(1j * (-8 * pts[:, 0] + 3 * pts[:, 1]))
+                  + 0.5j * np.exp(1j * (-8 * pts[:, 0] - 3 * pts[:, 1]))).real
+        assert np.max(np.abs(ev(pts)[0] - expect)) < 1e-13
 
 
 class TestSnapshotIO:

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from svns.fields import (
+    PhaseTable,
     SpectralVectorField,
     TorusGrid,
     transform,
@@ -263,6 +264,54 @@ class TestRunFlow:
         np.testing.assert_allclose([r[1] for r in records], 2e-3 * np.arange(5), atol=1e-15)
         np.testing.assert_array_equal([r[2] for r in records], w)
         assert records[0][3] == (2, 16, 2) and records[0][4] == (2, 16, 2, 2)
+
+    def test_one_phase_table_per_node_and_predictor(self, monkeypatch):
+        """The drift and the observers share the node's table; the predictor
+        stage builds one more, and no table stays attached after the node."""
+        built = []
+        init = PhaseTable.__init__
+
+        def counting_init(table, points):
+            built.append(np.array(points))
+            init(table, points)
+
+        monkeypatch.setattr(PhaseTable, "__init__", counting_init)
+        drift = compressible_drift()
+        tables = []
+
+        class Probe(FlowObserver):
+            def accumulate(self, node, t, ens, v, h, weight):
+                table = self.node_table(ens)
+                tables.append(table)
+                # the shared table evaluates the drift the observer was given
+                np.testing.assert_allclose(drift.velocity(t, table), v, rtol=0, atol=1e-14)
+
+        steps = 4
+        probe = Probe()
+        ens0 = make_flow_ensemble(GRID, replicas=2, stride=8)
+        run_flow(ens0, drift, 0.02, 2e-3, steps, BrownianDriver(seed=24, replicas=2),
+                 observers=(probe,))
+        assert len(built) == (steps + 1) + steps
+        assert len({id(t) for t in tables}) == steps + 1
+        assert probe.table is None
+        np.testing.assert_array_equal(built[0], ens0.positions)
+
+    def test_duck_typed_drift_runs_with_observers(self):
+        records = []
+
+        class Probe(FlowObserver):
+            def accumulate(self, node, t, ens, v, h, weight):
+                records.append(self.node_table(ens).npts)
+
+        amp, pts = 0.7, np.array([[0.5, 1.5], [2.0, 4.0], [5.0, 0.25]])
+        ens = make_flow_ensemble(GRID, replicas=2, initial_points=pts)
+        ens = run_flow(ens, shear_drift(amp), 0.0, 1e-2, 40,
+                       BrownianDriver(seed=9, replicas=2), observers=(Probe(),))
+        assert records == [6] * 41
+        exact = pts.copy()
+        exact[:, 0] += amp * 0.4 * pts[:, 1]
+        np.testing.assert_allclose(ens.positions, np.broadcast_to(exact, (2, 3, 2)),
+                                   rtol=0, atol=1e-12)
 
     def test_quadrature_weights(self):
         np.testing.assert_allclose(simpson_weights(4, 0.3),

@@ -520,6 +520,12 @@ class TestMeanDecay:
         with pytest.raises(ValueError, match="not representable"):
             ensemble_mode_means(shear, cfg, seed=1, modes=[(0, 20, 0)])
 
+    def test_single_replica_rejected(self, grid, shear):
+        cfg = SPDEConfig(grid=grid, nu=NU, dt=5e-3, t_final=5e-3, replicas=1,
+                         scheme="ito")
+        with pytest.raises(ValueError, match="at least 2 replicas"):
+            ensemble_mode_means(shear, cfg, seed=1, modes=[(0, 0, 1)])
+
     def test_chunked_estimate_is_deterministic(self, grid, shear):
         cfg = SPDEConfig(grid=grid, nu=NU, dt=5e-3, t_final=0.05, replicas=30,
                          scheme="ito")
