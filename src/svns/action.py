@@ -34,7 +34,10 @@ from .fields import (
     PointEvaluator,
     SpectralField,
     TorusGrid,
+    _advection_half,
     _ifft,
+    _to_full,
+    _to_half,
 )
 from .flows import (
     BrownianDriver,
@@ -45,7 +48,7 @@ from .flows import (
     simpson_weights,
     trapezoid_weights,
 )
-from .solver import DriftField, NSTrajectory
+from .solver import DriftField, NSTrajectory, _step_count
 
 __all__ = [
     "SineSquaredEnvelope",
@@ -475,9 +478,7 @@ def prepare_action_run(drift: DriftField, pressure, *, nu: float, dt: float,
     The ensemble defaults to the full grid lattice with the driver's replica
     count. All perturbation envelopes must live on [0, t_final].
     """
-    steps = int(round(t_final / dt))
-    if abs(steps * dt - t_final) > 1e-9 * max(1.0, t_final):
-        raise ValueError("t_final must be an integer multiple of dt")
+    steps = _step_count(t_final, dt, "t_final must be an integer multiple of dt")
     for pert in perturbations:
         if abs(pert.envelope.t_final - t_final) > 1e-12:
             raise ValueError(
@@ -601,11 +602,9 @@ class _PairingObserver(FlowObserver):
 
     def _residual_coeffs(self, t: float) -> np.ndarray:
         """d_t v + (v . grad) v - nu Lap v + grad p, spectrally."""
-        from .solver import _advection_coeffs
-
         g = self.grid
         c = self.drift.coeffs_at(t)
-        adv = _advection_coeffs(g, c)
+        adv = _to_full(g, _advection_half(g, _to_half(g, c)))
         pc = self.pressure.coeffs_at(t)
         res = self.drift.velocity_dt_coeffs_at(t) + adv + self.nu * g.k_squared * c
         res = res + np.stack([1j * g.k1 * pc, 1j * g.k2 * pc])
@@ -635,9 +634,7 @@ def euler_lagrange_residual(drift: DriftField, pressure, pert: PerturbationField
     Runs its own flow pass (positions only) with the same driver keys as an
     action pass, so the paths match an action run at identical parameters.
     """
-    steps = int(round(t_final / dt))
-    if abs(steps * dt - t_final) > 1e-9 * max(1.0, t_final):
-        raise ValueError("t_final must be an integer multiple of dt")
+    steps = _step_count(t_final, dt, "t_final must be an integer multiple of dt")
     if ensemble is None:
         ensemble = make_flow_ensemble(drift.grid, driver.replicas, stride=stride,
                                       jacobians=False)

@@ -7,7 +7,12 @@ Conventions used throughout the package:
 so `transform` divides the forward FFT by n^2 and u_hat(0) is the spatial mean.
 Real fields keep the full complex coefficient array with the conjugate symmetry
 u_hat(-k) = conj(u_hat(k)) enforced explicitly. Products are formed on the grid
-and dealiased by the 2/3 rule (modes with any |k_i| >= n/3 zeroed). Off-grid
+and dealiased by the 2/3 rule (modes with any |k_i| >= n/3 zeroed). The
+spectral kernel behind the solvers (advection, Leray projection, pressure)
+works on the real-transform half layout, columns k2 = 0..n/2 of a real
+field's coefficients, which holds every independent mode once; conjugate
+symmetry then holds by construction, and public arrays are rebuilt in the
+full layout only where they are stored or returned. Off-grid
 evaluation is direct Fourier summation over the nonzero modes, which is exact
 for band-limited fields. Since only real parts are returned, each stack is
 folded once onto the half plane k2 >= 0 (d_k = c_k + conj(c_{-k})), which
@@ -79,12 +84,16 @@ class TorusGrid:
         self.k1 = k[:, None] * np.ones((1, n), dtype=np.int64)
         self.k2 = np.ones((n, 1), dtype=np.int64) * k[None, :]
         self.k_squared = (self.k1**2 + self.k2**2).astype(np.float64)
+        # |k|^2 with the k = 0 entry set to 1, the divisor of mode-local solves
+        self.k_squared_safe = self.k_squared.copy()
+        self.k_squared_safe[0, 0] = 1.0
         # 2/3 rule: keep |k_i| < n/3 on every axis
         keep = np.abs(k) < n / 3.0
         self.dealias_mask = keep[:, None] & keep[None, :]
         for arr in (self.axis, self.x1, self.x2, self.k, self.k1, self.k2,
-                    self.k_squared, self.dealias_mask):
+                    self.k_squared, self.k_squared_safe, self.dealias_mask):
             arr.setflags(write=False)
+        self.half = _HalfGrid(self)
 
     @property
     def points(self) -> np.ndarray:
@@ -99,6 +108,32 @@ class TorusGrid:
 
     def __repr__(self) -> str:
         return f"TorusGrid(n={self.n})"
+
+
+class _HalfGrid:
+    """The grid's wavenumber arrays restricted to the half layout.
+
+    A real field's coefficients in columns k2 = 0..n/2 determine the rest
+    (u_hat(-k) = conj(u_hat(k))), and every operator of the spectral kernel
+    is mode-local, so the kernel runs on (n, n//2 + 1) arrays throughout,
+    roughly halving both transform and elementwise cost. The attribute names
+    match TorusGrid's, so mode-local functions accept either layout.
+    """
+
+    def __init__(self, grid: TorusGrid):
+        h = grid.n // 2 + 1
+        self.n = grid.n
+        self.h = h
+        self.k1 = np.ascontiguousarray(grid.k1[:, :h]).astype(np.float64)
+        self.k2 = np.ascontiguousarray(grid.k2[:, :h]).astype(np.float64)
+        self.ik1 = 1j * self.k1
+        self.ik2 = 1j * self.k2
+        self.k_squared = np.ascontiguousarray(grid.k_squared[:, :h])
+        self.k_squared_safe = np.ascontiguousarray(grid.k_squared_safe[:, :h])
+        self.dealias_mask = np.ascontiguousarray(grid.dealias_mask[:, :h])
+        for arr in (self.k1, self.k2, self.ik1, self.ik2, self.k_squared,
+                    self.k_squared_safe, self.dealias_mask):
+            arr.setflags(write=False)
 
 
 def _check_coeffs(grid: TorusGrid, coeffs: np.ndarray, ncomp: int | None) -> np.ndarray:
@@ -194,6 +229,53 @@ def _ifft(coeffs: np.ndarray) -> np.ndarray:
     return np.fft.ifft2(coeffs * (n * n)).real
 
 
+def _to_half(grid: TorusGrid, c: np.ndarray) -> np.ndarray:
+    """Keep columns k2 = 0..n/2 of a conjugate-symmetric full layout."""
+    return np.ascontiguousarray(c[..., : grid.n // 2 + 1])
+
+
+def _to_full(grid: TorusGrid, ch: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Rebuild the full layout from half-layout coefficients of a real field
+    (into `out` when given): the missing columns are conj values at the
+    negated wavenumber."""
+    n = grid.n
+    h = n // 2 + 1
+    if out is None:
+        out = np.empty(ch.shape[:-1] + (n,), dtype=np.complex128)
+    out[..., :h] = ch
+    # column h + m holds k2 = -(n/2 - 1 - m); row i holds k1 whose negation
+    # sits in row (n - i) % n: row 0 stays, rows 1..n-1 reverse
+    neg = slice(h - 2, 0, -1)
+    np.conj(ch[..., :1, neg], out=out[..., :1, h:])
+    np.conj(ch[..., :0:-1, neg], out=out[..., 1:, h:])
+    return out
+
+
+def _values_half(grid: TorusGrid, ch: np.ndarray) -> np.ndarray:
+    """Grid values of half-layout coefficients (inverse real transform)."""
+    return np.fft.irfft2(ch, s=(grid.n, grid.n), norm="forward")
+
+
+def _advection_half(grid: TorusGrid, c: np.ndarray | None, values: np.ndarray | None = None,
+                    f: np.ndarray | None = None) -> np.ndarray:
+    """Dealiased (v . grad) f on the half layout.
+
+    v is given by its coefficients c (..., 2, n, h), or by its grid values
+    (..., 2, n, n) when these are at hand; f (..., m, n, h) defaults to v
+    itself, the advection term of Navier-Stokes. v must be dealiased; f
+    need not be.
+    """
+    hg = grid.half
+    s = (grid.n, grid.n)
+    w = _values_half(grid, c) if values is None else values
+    f = c if f is None else f
+    g1 = np.fft.irfft2(hg.ik1 * f, s=s, norm="forward")
+    g2 = np.fft.irfft2(hg.ik2 * f, s=s, norm="forward")
+    out = np.fft.rfft2(w[..., :1, :, :] * g1 + w[..., 1:, :, :] * g2, norm="forward")
+    out *= hg.dealias_mask
+    return out
+
+
 def transform(grid: TorusGrid, values: np.ndarray) -> SpectralField:
     """Scalar grid values -> spectral coefficients."""
     values = np.asarray(values, dtype=np.float64)
@@ -269,22 +351,37 @@ def jacobian_matrix(v: SpectralVectorField) -> np.ndarray:
     return out
 
 
-def _leray_coeffs(grid: TorusGrid, c: np.ndarray) -> np.ndarray:
-    """Apply I - k k^T / |k|^2 modewise; the k = 0 mode passes through."""
-    ksq = grid.k_squared.copy()
-    ksq[0, 0] = 1.0  # k = 0: projector is the identity there
-    kdot = (grid.k1 * c[0] + grid.k2 * c[1]) / ksq
-    out = np.empty_like(c)
-    out[0] = c[0] - grid.k1 * kdot
-    out[1] = c[1] - grid.k2 * kdot
-    out[0, 0, 0] = c[0, 0, 0]
-    out[1, 0, 0] = c[1, 0, 0]
-    return out
+def _layout(grid: TorusGrid, c: np.ndarray):
+    """The wavenumber arrays matching c's trailing axis: full or half layout."""
+    return grid if c.shape[-1] == grid.n else grid.half
+
+
+def _leray(grid: TorusGrid, c: np.ndarray) -> np.ndarray:
+    """Apply I - k k^T / |k|^2 modewise to (..., 2, n, n) full or
+    (..., 2, n, h) half-layout coefficients; the k = 0 mode passes through."""
+    m = _layout(grid, c)
+    c1 = c[..., 0, :, :]
+    c2 = c[..., 1, :, :]
+    kdot = (m.k1 * c1 + m.k2 * c2) / m.k_squared_safe  # zero at k = 0
+    return np.stack([c1 - m.k1 * kdot, c2 - m.k2 * kdot], axis=-3)
+
+
+def _inverse_laplacian(grid: TorusGrid, c: np.ndarray) -> np.ndarray:
+    """phi with -Delta phi = c in the mean-zero gauge, either layout."""
+    phi = c / _layout(grid, c).k_squared_safe
+    phi[..., 0, 0] = 0.0
+    return phi
+
+
+def _pressure(grid: TorusGrid, adv: np.ndarray) -> np.ndarray:
+    """Mean-zero p with -Delta p = div((v . grad) v), adv (..., 2, n, n|h)."""
+    m = _layout(grid, adv)
+    return _inverse_laplacian(grid, 1j * (m.k1 * adv[..., 0, :, :] + m.k2 * adv[..., 1, :, :]))
 
 
 def leray_project(v: SpectralVectorField) -> SpectralVectorField:
     """Project onto divergence-free fields, preserving the mean mode."""
-    return SpectralVectorField(v.grid, _leray_coeffs(v.grid, v.coeffs))
+    return SpectralVectorField(v.grid, _leray(v.grid, v.coeffs))
 
 
 def poisson_solve(rhs: SpectralField, tol: float = 1e-10) -> SpectralField:
@@ -293,17 +390,12 @@ def poisson_solve(rhs: SpectralField, tol: float = 1e-10) -> SpectralField:
     The right-hand side must have (numerically) zero mean; otherwise no
     periodic solution exists and a ValueError is raised.
     """
-    g = rhs.grid
     scale = max(1.0, float(np.max(np.abs(rhs.coeffs))))
     if abs(rhs.coeffs[0, 0]) > tol * scale:
         raise ValueError(
             f"Poisson right-hand side has nonzero mean {rhs.coeffs[0, 0]:.3e}"
         )
-    ksq = g.k_squared.copy()
-    ksq[0, 0] = 1.0
-    phi = rhs.coeffs / ksq
-    phi[0, 0] = 0.0
-    return SpectralField(g, phi)
+    return SpectralField(rhs.grid, _inverse_laplacian(rhs.grid, rhs.coeffs))
 
 
 def multiply(a: SpectralField, b: SpectralField) -> SpectralField:

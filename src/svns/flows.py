@@ -41,9 +41,7 @@ __all__ = [
     "generalized_derivative",
     "IdentityObservable",
     "DriftVelocityObservable",
-    "GridFieldObservable",
     "ConstantObservable",
-    "IntegratedObservable",
     "save_ensemble",
     "load_ensemble",
 ]
@@ -336,43 +334,12 @@ class DriftVelocityObservable:
         return self.drift.velocity(t, positions)
 
 
-class GridFieldObservable:
-    """F(t, x) from a time-indexed coefficient provider (scalar or stacked)."""
-
-    def __init__(self, grid: TorusGrid, coeffs_at, vector: bool = False):
-        self.grid = grid
-        self.coeffs_at = coeffs_at
-        self.vector = vector
-        self._cache: dict[float, PointEvaluator] = {}
-
-    def values(self, t: float, positions: np.ndarray) -> np.ndarray:
-        ev = self._cache.get(t)
-        if ev is None:
-            c = self.coeffs_at(t)
-            ev = PointEvaluator(self.grid, c if self.vector else c[None])
-            if len(self._cache) > 8:
-                self._cache.clear()
-            self._cache[t] = ev
-        out = ev(positions)
-        return np.moveaxis(out, 0, -1) if self.vector else out[0]
-
-
 class ConstantObservable:
     def __init__(self, value: float):
         self.value = float(value)
 
     def values(self, t: float, positions: np.ndarray) -> np.ndarray:
         return np.full(positions.shape[:-1], self.value)
-
-
-class IntegratedObservable:
-    """Per-replica lattice reduction, for path functionals of the whole ensemble."""
-
-    def __init__(self, reduce_fn):
-        self.reduce_fn = reduce_fn
-
-    def values(self, t: float, positions: np.ndarray) -> np.ndarray:
-        return self.reduce_fn(t, positions)
 
 
 @dataclass(eq=False)

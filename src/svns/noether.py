@@ -35,8 +35,10 @@ from .fields import (
     SpectralField,
     SpectralVectorField,
     TorusGrid,
-    _fft,
-    _ifft,
+    _advection_half,
+    _to_full,
+    _to_half,
+    _values_half,
 )
 from .flows import (
     BranchEstimate,
@@ -47,7 +49,7 @@ from .flows import (
     make_flow_ensemble,
     run_flow,
 )
-from .solver import DriftField, NSTrajectory
+from .solver import _NODE_CHUNK, DriftField, NSTrajectory, _step_count
 
 TWO_PI = 2.0 * np.pi
 
@@ -158,14 +160,18 @@ def material_operator(f: SpectralField, v: SpectralVectorField, nu: float,
     if f.grid is not v.grid and f.grid.n != v.grid.n:
         raise ValueError("f and v live on different grids")
     g = f.grid
-    w = _ifft(v.coeffs)
-    gf1 = _ifft(1j * g.k1 * f.coeffs)
-    gf2 = _ifft(1j * g.k2 * f.coeffs)
-    adv = _fft(w[0] * gf1 + w[1] * gf2) * g.dealias_mask
-    out = adv - nu * g.k_squared * f.coeffs
-    if f_dt is not None:
-        out = out + f_dt.coeffs
-    return SpectralField(g, out)
+    w = _values_half(g, _to_half(g, v.coeffs))
+    fth = None if f_dt is None else _to_half(g, f_dt.coeffs)
+    return SpectralField(g, _to_full(g, _material_half(g, _to_half(g, f.coeffs), w, nu, fth)))
+
+
+def _material_half(grid: TorusGrid, fh: np.ndarray, w: np.ndarray, nu: float,
+                   fth: np.ndarray | None) -> np.ndarray:
+    """L_t f on the half layout for scalar coefficients fh (..., n, h), the
+    velocity's grid values w (..., 2, n, n) and the time derivative fth."""
+    adv = _advection_half(grid, None, values=w, f=fh[..., None, :, :])[..., 0, :, :]
+    out = adv - nu * grid.half.k_squared * fh
+    return out if fth is None else out + fth
 
 
 # ---------------------------------------------------------------------------
@@ -214,9 +220,7 @@ def invariance_check(pair: SymmetryPair, drift: DriftField, *, nu: float,
     Lagrangian vanish only on measure-preserving flows, so a Jacobian
     determinant defect beyond det_tolerance attaches a warning.
     """
-    steps = int(round(t_final / dt))
-    if abs(steps * dt - t_final) > 1e-9 * max(1.0, t_final):
-        raise ValueError("t_final must be an integer multiple of dt")
+    steps = _step_count(t_final, dt, "t_final must be an integer multiple of dt")
     ens = make_flow_ensemble(pair.grid, driver.replicas, stride=stride, jacobians=True)
     obs = _InvarianceObserver(pair, nu, steps + 1, driver.replicas)
     run_flow(ens, drift, nu, dt, steps, driver, observers=(obs,))
@@ -247,30 +251,29 @@ def noether_residual(pair: SymmetryPair, traj: NSTrajectory) -> NoetherReport:
     residual = np.zeros(nnodes)
     charge = np.zeros(nnodes)
     env = pair.envelope
-    eta_phys = None if pair.eta_coeffs is None else _ifft(pair.eta_coeffs)
-    psi_c = pair.g_coeffs
-    for i, t in enumerate(traj.times):
-        a = env.value(float(t))
-        da = env.derivative(float(t))
-        vc = traj.velocity_coeffs[i]
-        fc = np.zeros((g.n, g.n), dtype=complex)
-        ftc = np.zeros((g.n, g.n), dtype=complex)
-        if eta_phys is not None:
-            w = _ifft(vc)
-            dw = _ifft(traj.rhs_coeffs[i])
-            f_phys = a * (w[0] * eta_phys[0] + w[1] * eta_phys[1])
-            ft_phys = (a * (dw[0] * eta_phys[0] + dw[1] * eta_phys[1])
-                       + da * (w[0] * eta_phys[0] + w[1] * eta_phys[1]))
-            fc = _fft(f_phys)
-            ftc = _fft(ft_phys)
-        if psi_c is not None:
-            fc = fc - a * psi_c
-            ftc = ftc - da * psi_c
-        lf = material_operator(SpectralField(g, fc),
-                               SpectralVectorField(g, vc), traj.nu,
-                               SpectralField(g, ftc))
-        residual[i] = TWO_PI**2 * lf.coeffs[0, 0].real
-        charge[i] = TWO_PI**2 * fc[0, 0].real
+    amp = np.array([env.value(float(t)) for t in traj.times])[:, None, None]
+    damp = np.array([env.derivative(float(t)) for t in traj.times])[:, None, None]
+    eta = None if pair.eta_coeffs is None else _values_half(g, _to_half(g, pair.eta_coeffs))
+    psi = None if pair.g_coeffs is None else _to_half(g, pair.g_coeffs)
+    for lo in range(0, nnodes, _NODE_CHUNK):
+        nodes = slice(lo, lo + _NODE_CHUNK)
+        a = amp[nodes]
+        da = damp[nodes]
+        w = _values_half(g, _to_half(g, traj.velocity_coeffs[nodes]))
+        fh = np.zeros((len(a), g.n, g.half.h), dtype=complex)
+        fth = np.zeros_like(fh)
+        if eta is not None:
+            dw = _values_half(g, _to_half(g, traj.rhs_coeffs[nodes]))
+            weta = w[:, 0] * eta[0] + w[:, 1] * eta[1]
+            fh = np.fft.rfft2(a * weta, norm="forward")
+            fth = np.fft.rfft2(a * (dw[:, 0] * eta[0] + dw[:, 1] * eta[1]) + da * weta,
+                               norm="forward")
+        if psi is not None:
+            fh = fh - a * psi
+            fth = fth - da * psi
+        lf = _material_half(g, fh, w, traj.nu, fth)
+        residual[nodes] = TWO_PI**2 * lf[:, 0, 0].real
+        charge[nodes] = TWO_PI**2 * fh[:, 0, 0].real
     return NoetherReport(times=traj.times.copy(), residual=residual, charge=charge)
 
 
@@ -340,9 +343,7 @@ def martingale_probe(pair: SymmetryPair, drift: DriftField, *, nu: float,
     ens = make_flow_ensemble(pair.grid, driver.replicas, stride=stride, jacobians=False)
     out = []
     for t in samples:
-        steps = int(round((t - ens.t) / dt))
-        if abs(ens.t + steps * dt - t) > 1e-9 * max(1.0, t):
-            raise ValueError(f"sample time {t} is not a step multiple")
+        steps = _step_count(t - ens.t, dt, f"sample time {t} is not a step multiple")
         ens = run_flow(ens, drift, nu, dt, steps, driver)
         series = obs.values(ens.t, ens.positions)
         est = generalized_derivative(obs, ens, drift, nu, dt, driver,

@@ -7,6 +7,9 @@ viscous semigroup exp(-nu |k|^2 dt) applied exactly, classical RK4 on the
 transformed nonlinearity). The advection product is formed on the grid and
 dealiased by the 2/3 rule before Leray projection; pressure is recovered
 diagnostically from -Delta p = div((v . grad) v) in the mean-zero gauge.
+All of this runs on the real-transform half layout of the fields module;
+a solve advects each node once and shares that product between the CFL
+check, the stored tendency and pressure, and the first RK4 stage.
 Stored trajectories keep velocity, pressure, and the projected right-hand
 side at every node so that time interpolation is cubic Hermite with exact
 nodal derivatives, never finite differences.
@@ -19,16 +22,20 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fields import (
+    TWO_PI,
     SpectralField,
     SpectralVectorField,
     TorusGrid,
+    _advection_half,
     _fft,
     _ifft,
-    _leray_coeffs,
+    _leray,
+    _pressure,
+    _to_full,
+    _to_half,
+    _values_half,
     enforce_conjugate_symmetry,
-    leray_project,
     load_field_snapshot,
-    parseval_integral,
     save_field_snapshot,
 )
 
@@ -58,6 +65,15 @@ class CFLError(RuntimeError):
     """Raised when a step would move fluid further than the CFL budget allows."""
 
 
+def _step_count(span: float, dt: float, message: str) -> int:
+    """Number of dt steps in span; ValueError(message) unless span is an
+    integer multiple of dt (to 1e-8 of a step)."""
+    steps = span / dt
+    if abs(steps - round(steps)) > 1e-8:
+        raise ValueError(message)
+    return int(round(steps))
+
+
 @dataclass(frozen=True)
 class NSConfig:
     """Solver parameters: viscosity, step size, horizon, CFL budget."""
@@ -72,11 +88,8 @@ class NSConfig:
             raise ValueError(f"viscosity must be nonnegative, got {self.nu}")
         if self.dt <= 0 or self.t_final <= 0:
             raise ValueError("dt and t_final must be positive")
-        steps = self.t_final / self.dt
-        if abs(steps - round(steps)) > 1e-8:
-            raise ValueError(
-                f"t_final = {self.t_final} is not an integer multiple of dt = {self.dt}"
-            )
+        _step_count(self.t_final, self.dt,
+                    f"t_final = {self.t_final} is not an integer multiple of dt = {self.dt}")
 
     @property
     def steps(self) -> int:
@@ -87,37 +100,43 @@ class NSConfig:
 # right-hand side and single step
 # ---------------------------------------------------------------------------
 
-def _advection_coeffs(grid: TorusGrid, c: np.ndarray) -> np.ndarray:
-    """Dealiased coefficients of (v . grad) v for dealiased input c (2, n, n)."""
-    w = _ifft(c)
-    out = np.empty_like(c)
-    for i in range(2):
-        gi1 = _ifft(1j * grid.k1 * c[i])
-        gi2 = _ifft(1j * grid.k2 * c[i])
-        out[i] = _fft(w[0] * gi1 + w[1] * gi2)
-    return out * grid.dealias_mask
+def _node_half(grid: TorusGrid, ch: np.ndarray, nu: float,
+               values: np.ndarray | None = None):
+    """The advection-derived parts of one node on the half layout:
+    (-P[(v . grad) v], the tendency nu Delta v - P[(v . grad) v], pressure)."""
+    adv = _advection_half(grid, ch, values)
+    nonlinear = -_leray(grid, adv)
+    return nonlinear, nonlinear - nu * grid.half.k_squared * ch, _pressure(grid, adv)
 
 
-def _nonlinear_coeffs(grid: TorusGrid, c: np.ndarray) -> np.ndarray:
-    """-P[(v . grad) v], the projected nonlinear part of the tendency."""
-    return -_leray_coeffs(grid, _advection_coeffs(grid, c))
+def _viscous_factors(grid: TorusGrid, nu: float, dt: float):
+    """exp(-nu |k|^2 dt/2) and exp(-nu |k|^2 dt) on the half layout."""
+    e_half = np.exp(-nu * grid.half.k_squared * (dt / 2.0))
+    return e_half, e_half * e_half
 
 
-def _pressure_coeffs(grid: TorusGrid, adv: np.ndarray) -> np.ndarray:
-    """Solve -Delta p = div((v . grad) v) in the mean-zero gauge."""
-    ksq = grid.k_squared.copy()
-    ksq[0, 0] = 1.0
-    p = 1j * (grid.k1 * adv[0] + grid.k2 * adv[1]) / ksq
-    p[0, 0] = 0.0
-    return p
+def _stage(grid: TorusGrid, ch: np.ndarray, forcing: np.ndarray | None) -> np.ndarray:
+    """An RK4 stage: -P[(v . grad) v] plus the forcing, half layout."""
+    out = -_leray(grid, _advection_half(grid, ch))
+    return out if forcing is None else out + forcing
+
+
+def _rk4_half(grid: TorusGrid, ch: np.ndarray, k1: np.ndarray, dt: float,
+              factors, forcing: np.ndarray | None) -> np.ndarray:
+    """One integrating-factor RK4 step of half-layout ch whose first stage
+    (the projected nonlinearity plus forcing at ch) is k1."""
+    e_half, e_full = factors
+    k2 = _stage(grid, e_half * (ch + (dt / 2.0) * k1), forcing)
+    k3 = _stage(grid, e_half * ch + (dt / 2.0) * k2, forcing)
+    k4 = _stage(grid, e_full * ch + dt * e_half * k3, forcing)
+    return e_full * ch + (dt / 6.0) * (e_full * k1 + 2.0 * e_half * (k2 + k3) + k4)
 
 
 def ns_rhs(v: SpectralVectorField, nu: float) -> tuple[SpectralVectorField, SpectralField]:
     """Projected tendency nu Delta v - P[(v . grad) v] and the diagnostic pressure."""
     g = v.grid
-    adv = _advection_coeffs(g, v.coeffs)
-    rhs = -_leray_coeffs(g, adv) - nu * g.k_squared * v.coeffs
-    return SpectralVectorField(g, rhs), SpectralField(g, _pressure_coeffs(g, adv))
+    _, rhs, p = _node_half(g, _to_half(g, v.coeffs), nu)
+    return SpectralVectorField(g, _to_full(g, rhs)), SpectralField(g, _to_full(g, p))
 
 
 def ns_step(v: SpectralVectorField, nu: float, dt: float,
@@ -129,25 +148,28 @@ def ns_step(v: SpectralVectorField, nu: float, dt: float,
     forcing enters every stage like the nonlinearity.
     """
     g = v.grid
-    c = v.coeffs
-
-    def tendency(cc: np.ndarray) -> np.ndarray:
-        out = _nonlinear_coeffs(g, cc)
-        return out if forcing is None else out + forcing
-
-    e_half = np.exp(-nu * g.k_squared * (dt / 2.0))
-    e_full = e_half * e_half
-    k1 = tendency(c)
-    k2 = tendency(e_half * (c + (dt / 2.0) * k1))
-    k3 = tendency(e_half * c + (dt / 2.0) * k2)
-    k4 = tendency(e_full * c + dt * e_half * k3)
-    out = e_full * c + (dt / 6.0) * (e_full * k1 + 2.0 * e_half * (k2 + k3) + k4)
-    return SpectralVectorField(g, out)
+    ch = _to_half(g, v.coeffs)
+    fh = None if forcing is None else _to_half(g, forcing)
+    out = _rk4_half(g, ch, _stage(g, ch, fh), dt, _viscous_factors(g, nu, dt), fh)
+    return SpectralVectorField(g, _to_full(g, out))
 
 
 # ---------------------------------------------------------------------------
 # trajectories
 # ---------------------------------------------------------------------------
+
+def _node_parseval(c: np.ndarray, weight: np.ndarray | None = None) -> np.ndarray:
+    """(2 pi)^2 sum_k w_k |c_k|^2 for each node of a (nodes, 2, n, n) stack
+    (w = 1 by default). The sums run in einsum over the real and imaginary
+    views, so no temporary the size of the stack is made."""
+    total = 0.0
+    for part in (c.real, c.imag):
+        if weight is None:
+            total = total + np.einsum("mcij,mcij->m", part, part)
+        else:
+            total = total + np.einsum("mcij,ij,mcij->m", part, weight, part)
+    return TWO_PI**2 * total
+
 
 @dataclass(eq=False)
 class NSTrajectory:
@@ -182,7 +204,7 @@ class NSTrajectory:
         return i
 
     def energy_series(self) -> np.ndarray:
-        return 0.5 * np.array([parseval_integral(c) for c in self.velocity_coeffs])
+        return 0.5 * _node_parseval(self.velocity_coeffs)
 
 
 def ns_solve(v0: SpectralVectorField, config: NSConfig,
@@ -216,23 +238,35 @@ def ns_solve(v0: SpectralVectorField, config: NSConfig,
     prs = np.empty((m + 1, g.n, g.n), dtype=np.complex128)
     rhs = np.empty((m + 1, 2, g.n, g.n), dtype=np.complex128)
 
-    c = enforce_conjugate_symmetry(v0.coeffs * g.dealias_mask)
+    # the state lives on the half layout; each node is written straight into
+    # the full-layout arrays, so no half-layout copy of the trajectory exists
+    ch = _to_half(g, enforce_conjugate_symmetry(v0.coeffs * g.dealias_mask))
+    fh = None if fc is None else _to_half(g, fc)
+    factors = _viscous_factors(g, config.nu, config.dt)
     for i in range(m + 1):
-        v = SpectralVectorField(g, c)
-        maxv = float(np.max(np.abs(_ifft(c))))
+        w = _values_half(g, ch)
+        maxv = float(np.max(np.abs(w)))
         cfl = config.dt * maxv * g.n / (2.0 * np.pi)
         if cfl > config.cfl_limit:
             raise CFLError(
                 f"CFL number {cfl:.3f} exceeds limit {config.cfl_limit} at "
                 f"t = {times[i]:.6g} (max|v| = {maxv:.3g}, dt = {config.dt})"
             )
-        r, p = ns_rhs(v, config.nu)
-        vel[i] = c
-        prs[i] = p.coeffs
-        rhs[i] = r.coeffs if fc is None else r.coeffs + fc
+        nonlinear, r, p = _node_half(g, ch, config.nu, w)
+        if fh is not None:
+            nonlinear = nonlinear + fh
+            r = r + fh
+        _to_full(g, ch, out=vel[i])
+        _to_full(g, p, out=prs[i])
+        _to_full(g, r, out=rhs[i])
         if i < m:
-            c = enforce_conjugate_symmetry(ns_step(v, config.nu, config.dt, fc).coeffs)
+            ch = _rk4_half(g, ch, nonlinear, config.dt, factors, fh)
     return NSTrajectory(g, config.nu, times, vel, prs, rhs)
+
+
+# nodes per batch of the trajectory diagnostics: bounds their temporaries
+# to a few MB whatever the trajectory length
+_NODE_CHUNK = 32
 
 
 def ns_residual(traj: NSTrajectory) -> float:
@@ -244,22 +278,22 @@ def ns_residual(traj: NSTrajectory) -> float:
     """
     g = traj.grid
     worst = 0.0
-    for i in range(len(traj.times)):
-        c = traj.velocity_coeffs[i]
-        adv = _advection_coeffs(g, c)
-        gp = np.stack([1j * g.k1 * traj.pressure_coeffs[i], 1j * g.k2 * traj.pressure_coeffs[i]])
-        res = traj.rhs_coeffs[i] + adv + traj.nu * g.k_squared * c + gp
-        worst = max(worst, float(np.sqrt(parseval_integral(res))))
-    return worst
+    for lo in range(0, len(traj.times), _NODE_CHUNK):
+        nodes = slice(lo, lo + _NODE_CHUNK)
+        c = traj.velocity_coeffs[nodes]
+        adv = _to_full(g, _advection_half(g, _to_half(g, c)))
+        p = traj.pressure_coeffs[nodes]
+        gp = np.stack([1j * g.k1 * p, 1j * g.k2 * p], axis=1)
+        res = traj.rhs_coeffs[nodes] + adv + traj.nu * g.k_squared * c + gp
+        worst = max(worst, float(np.max(_node_parseval(res))))
+    return float(np.sqrt(worst))
 
 
 def energy_balance_defects(traj: NSTrajectory) -> np.ndarray:
     """Per-step defect of E(t+dt) - E(t) = -nu int |grad v|^2 (trapezoid in t)."""
     g = traj.grid
     energy = traj.energy_series()
-    dissipation = np.array(
-        [parseval_integral(np.sqrt(g.k_squared) * c) for c in traj.velocity_coeffs]
-    )
+    dissipation = _node_parseval(traj.velocity_coeffs, g.k_squared)
     lhs = np.diff(energy)
     rhs = -traj.nu * traj.dt * 0.5 * (dissipation[:-1] + dissipation[1:])
     return np.abs(lhs - rhs)
@@ -295,7 +329,7 @@ def random_divergence_free(grid: TorusGrid, seed: int, kmax: int = 5,
     keep = (np.abs(grid.k1) <= kmax) & (np.abs(grid.k2) <= kmax) & grid.dealias_mask
     c = _fft(raw) * keep
     c[:, 0, 0] = 0.0
-    c = _leray_coeffs(grid, enforce_conjugate_symmetry(c))
+    c = _leray(grid, enforce_conjugate_symmetry(c))
     scale = amplitude / max(float(np.max(np.abs(_ifft(c)))), 1e-300)
     return SpectralVectorField(grid, c * scale)
 

@@ -48,11 +48,16 @@ from .fields import (
     PointEvaluator,
     SpectralVectorField,
     TorusGrid,
-    _fft,
-    _ifft,
+    _advection_half,
+    _leray,
+    _pressure,
+    _to_full,
+    _to_half,
+    _values_half,
+    parseval_integral,
 )
 from .flows import BrownianDriver, FlowObserver, make_flow_ensemble, run_flow
-from .solver import CFLError, DriftField
+from .solver import CFLError, DriftField, _step_count
 
 __all__ = [
     "SPDEConfig",
@@ -102,10 +107,8 @@ class SPDEConfig:
             raise ValueError(f"viscosity must be nonnegative, got {self.nu}")
         if self.dt <= 0 or self.t_final <= 0:
             raise ValueError("dt and t_final must be positive")
-        steps = self.t_final / self.dt
-        if abs(steps - round(steps)) > 1e-8:
-            raise ValueError(
-                f"t_final = {self.t_final} is not an integer multiple of dt = {self.dt}")
+        _step_count(self.t_final, self.dt,
+                    f"t_final = {self.t_final} is not an integer multiple of dt = {self.dt}")
         if self.replicas < 1:
             raise ValueError(f"need at least one replica, got {self.replicas}")
         if self.scheme not in _SCHEMES:
@@ -138,113 +141,11 @@ class SPDEState:
         return SpectralVectorField(self.grid, self.coeffs[replica])
 
 
-class _HalfGrid:
-    """Wavenumber arrays restricted to the real-transform half layout.
-
-    Real fields carry redundant conjugate modes in the full n x n layout;
-    every per-step operator here is mode-local, so the integrator works on
-    the (n, n//2 + 1) half layout throughout (roughly halving both FFT and
-    elementwise cost) and reconstructs the full layout only at step
-    boundaries.
-    """
-
-    def __init__(self, grid: TorusGrid):
-        h = grid.n // 2 + 1
-        self.n = grid.n
-        self.h = h
-        self.k1 = np.ascontiguousarray(grid.k1[:, :h]).astype(np.float64)
-        self.k2 = np.ascontiguousarray(grid.k2[:, :h]).astype(np.float64)
-        self.k_squared = np.ascontiguousarray(grid.k_squared[:, :h])
-        safe = self.k_squared.copy()
-        safe[0, 0] = 1.0
-        self.k_squared_safe = safe
-        self.dealias_mask = np.ascontiguousarray(grid.dealias_mask[:, :h])
-
-
-_HALF_GRIDS: dict[TorusGrid, _HalfGrid] = {}
-
-
-def _half_grid(grid: TorusGrid) -> _HalfGrid:
-    hg = _HALF_GRIDS.get(grid)
-    if hg is None:
-        hg = _HALF_GRIDS[grid] = _HalfGrid(grid)
-    return hg
-
-
-def _to_half(grid: TorusGrid, c: np.ndarray) -> np.ndarray:
-    """Keep columns k2 = 0..n/2 of a conjugate-symmetric full layout."""
-    return np.ascontiguousarray(c[..., : grid.n // 2 + 1])
-
-
-def _to_full(grid: TorusGrid, ch: np.ndarray) -> np.ndarray:
-    """Rebuild the full layout from half-layout coefficients of a real field:
-    the missing columns are conj values at the negated wavenumber."""
-    n = grid.n
-    h = n // 2 + 1
-    out = np.empty(ch.shape[:-1] + (n,), dtype=np.complex128)
-    out[..., :h] = ch
-    body = ch[..., 1:h - 1]
-    out[..., h:] = np.conj(np.roll(np.flip(body, axis=(-2, -1)), 1, axis=-2))
-    return out
-
-
-def _leray_half(hg: _HalfGrid, c: np.ndarray) -> np.ndarray:
-    """Divergence-free projection of (..., 2, n, h) half-layout batches."""
-    fac = (hg.k1 * c[..., 0, :, :] + hg.k2 * c[..., 1, :, :]) / hg.k_squared_safe
-    return np.stack([c[..., 0, :, :] - hg.k1 * fac,
-                     c[..., 1, :, :] - hg.k2 * fac], axis=-3)
-
-
-def _values_half(hg: _HalfGrid, c: np.ndarray) -> np.ndarray:
-    """Grid values of half-layout coefficients (inverse real transform)."""
-    return np.fft.irfft2(c * (hg.n * hg.n), s=(hg.n, hg.n))
-
-
-def _advection_half(hg: _HalfGrid, c: np.ndarray,
-                    values: np.ndarray | None = None) -> np.ndarray:
-    """Dealiased (v.grad)v for dealiased half-layout batches (..., 2, n, h)."""
-    n = hg.n
-    w = _values_half(hg, c) if values is None else values
-    g1 = np.fft.irfft2(1j * hg.k1 * c * (n * n), s=(n, n))
-    g2 = np.fft.irfft2(1j * hg.k2 * c * (n * n), s=(n, n))
-    w1 = w[..., 0, :, :]
-    w2 = w[..., 1, :, :]
-    adv = np.stack([w1 * g1[..., 0, :, :] + w2 * g2[..., 0, :, :],
-                    w1 * g1[..., 1, :, :] + w2 * g2[..., 1, :, :]], axis=-3)
-    return np.fft.rfft2(adv) / (n * n) * hg.dealias_mask
-
-
-def _transport_phase_half(hg: _HalfGrid, nu: float, dw: np.ndarray) -> np.ndarray:
-    """sqrt(2 nu) (k . dW) per half-layout mode, increments dw (..., 2)."""
-    return np.sqrt(2.0 * nu) * (dw[..., 0, None, None] * hg.k1
-                                + dw[..., 1, None, None] * hg.k2)
-
-
-def _leray_batch(grid: TorusGrid, c: np.ndarray) -> np.ndarray:
-    """Divergence-free projection of (..., 2, n, n) coefficient batches."""
-    ksq = grid.k_squared.copy()
-    ksq[0, 0] = 1.0
-    fac = (grid.k1 * c[..., 0, :, :] + grid.k2 * c[..., 1, :, :]) / ksq
-    return np.stack([c[..., 0, :, :] - grid.k1 * fac,
-                     c[..., 1, :, :] - grid.k2 * fac], axis=-3)
-
-
-def _advection_batch(grid: TorusGrid, c: np.ndarray) -> np.ndarray:
-    """Dealiased (v.grad)v for dealiased batches c of shape (..., 2, n, n)."""
-    w = _ifft(c)
-    g1 = _ifft(1j * grid.k1 * c)
-    g2 = _ifft(1j * grid.k2 * c)
-    w1 = w[..., 0, :, :]
-    w2 = w[..., 1, :, :]
-    adv = np.stack([w1 * g1[..., 0, :, :] + w2 * g2[..., 0, :, :],
-                    w1 * g1[..., 1, :, :] + w2 * g2[..., 1, :, :]], axis=-3)
-    return _fft(adv) * grid.dealias_mask
-
-
-def _transport_phase(grid: TorusGrid, nu: float, dw: np.ndarray) -> np.ndarray:
-    """sqrt(2 nu) (k . dW) per mode, for increments dw of shape (..., 2)."""
-    return np.sqrt(2.0 * nu) * (dw[..., 0, None, None] * grid.k1
-                                + dw[..., 1, None, None] * grid.k2)
+def _transport_phase(modes, nu: float, dw: np.ndarray) -> np.ndarray:
+    """sqrt(2 nu) (k . dW) per mode of a TorusGrid or of its half layout,
+    for increments dw of shape (..., 2)."""
+    return np.sqrt(2.0 * nu) * (dw[..., 0, None, None] * modes.k1
+                                + dw[..., 1, None, None] * modes.k2)
 
 
 def make_spde_state(v0: SpectralVectorField, replicas: int) -> SPDEState:
@@ -252,7 +153,7 @@ def make_spde_state(v0: SpectralVectorField, replicas: int) -> SPDEState:
     if replicas < 1:
         raise ValueError(f"need at least one replica, got {replicas}")
     g = v0.grid
-    c = _leray_batch(g, v0.coeffs * g.dealias_mask)
+    c = _leray(g, v0.coeffs * g.dealias_mask)
     coeffs = np.broadcast_to(c, (replicas,) + c.shape).copy()
     return SPDEState(g, coeffs, 0.0, 0, np.zeros((replicas, 2)))
 
@@ -266,12 +167,13 @@ def _check_compat(state: SPDEState, config: SPDEConfig, driver: BrownianDriver) 
         raise ValueError("driver and state disagree on the replica count")
 
 
-def _advance_half(hg: _HalfGrid, config: SPDEConfig, c: np.ndarray,
+def _advance_half(grid: TorusGrid, config: SPDEConfig, c: np.ndarray,
                   dw: np.ndarray, stratonovich: bool) -> np.ndarray:
     """One step on half-layout coefficients c of shape (replicas, 2, n, h)."""
+    hg = grid.half
     dt = config.dt
     nu = config.nu
-    w = _values_half(hg, c)
+    w = _values_half(grid, c)
     displacement = dt * float(np.max(np.abs(w))) + np.sqrt(2.0 * nu) * float(
         np.max(np.abs(dw)))
     budget = config.cfl_limit * (2.0 * np.pi / hg.n)
@@ -279,24 +181,23 @@ def _advance_half(hg: _HalfGrid, config: SPDEConfig, c: np.ndarray,
         raise CFLError(
             f"step displacement {displacement:.3g} exceeds the CFL budget "
             f"{budget:.3g} (limit {config.cfl_limit} cells)")
-    theta = _transport_phase_half(hg, nu, dw)[..., None, :, :]
-    a0 = -_leray_half(hg, _advection_half(hg, c, w))
+    theta = _transport_phase(hg, nu, dw)[..., None, :, :]
+    a0 = -_leray(grid, _advection_half(grid, c, w))
     if stratonovich:
         n0 = 1j * theta * c
         pred = c + dt * a0 + n0
-        a1 = -_leray_half(hg, _advection_half(hg, pred))
+        a1 = -_leray(grid, _advection_half(grid, pred))
         cnew = c + 0.5 * dt * (a0 + a1) + 0.5 * (n0 + 1j * theta * pred)
     else:
         cnew = c + dt * (a0 - nu * hg.k_squared * c) + 1j * theta * c
-    return _leray_half(hg, cnew) * hg.dealias_mask
+    return _leray(grid, cnew) * hg.dealias_mask
 
 
 def _advance(state: SPDEState, config: SPDEConfig, dw: np.ndarray,
              stratonovich: bool) -> SPDEState:
     """One step with explicit increments dw of shape (replicas, 2)."""
     g = state.grid
-    hg = _half_grid(g)
-    cnew = _to_full(g, _advance_half(hg, config, _to_half(g, state.coeffs),
+    cnew = _to_full(g, _advance_half(g, config, _to_half(g, state.coeffs),
                                      dw, stratonovich))
     return SPDEState(g, cnew, state.t + config.dt, state.step_index + 1,
                      state.brownian + dw)
@@ -326,14 +227,13 @@ def spde_solve(v0, config: SPDEConfig, driver: BrownianDriver) -> SPDEState:
     _check_compat(state, config, driver)
     strat = config.scheme == "stratonovich-heun"
     g = state.grid
-    hg = _half_grid(g)
     c = _to_half(g, state.coeffs)
     brownian = state.brownian.copy()
     step = state.step_index
     t = state.t
     for _ in range(config.steps):
         dw = driver.increments(step, config.dt)
-        c = _advance_half(hg, config, c, dw, stratonovich=strat)
+        c = _advance_half(g, config, c, dw, stratonovich=strat)
         brownian += dw
         step += 1
         t += config.dt
@@ -344,12 +244,7 @@ def diagnostic_pressure(state: SPDEState) -> np.ndarray:
     """Per-replica mean-zero pressure recovered from the current velocity,
     -Lap p = div((v.grad)v), shaped (replicas, n, n)."""
     g = state.grid
-    adv = _advection_batch(g, state.coeffs)
-    ksq = g.k_squared.copy()
-    ksq[0, 0] = 1.0
-    p = 1j * (g.k1 * adv[..., 0, :, :] + g.k2 * adv[..., 1, :, :]) / ksq
-    p[..., 0, 0] = 0.0
-    return p
+    return _to_full(g, _pressure(g, _advection_half(g, _to_half(g, state.coeffs))))
 
 
 # ---------------------------------------------------------------------------
@@ -358,8 +253,8 @@ def diagnostic_pressure(state: SPDEState) -> np.ndarray:
 
 def _steady_euler_defect(u: SpectralVectorField) -> float:
     g = u.grid
-    resid = _leray_batch(g, _advection_batch(g, u.coeffs))
-    return float(np.sqrt(TWO_PI**2 * np.sum(np.abs(resid) ** 2)))
+    resid = _leray(g, _advection_half(g, _to_half(g, u.coeffs)))
+    return float(np.sqrt(parseval_integral(_to_full(g, resid))))
 
 
 def shift_oracle(u: SpectralVectorField, w_values: np.ndarray,
@@ -412,14 +307,10 @@ def strong_error(config: SPDEConfig, u: SpectralVectorField, dt_ladder,
         raise ValueError("step ladder must be strictly decreasing and positive")
     fine = ladder[-1]
     for d in ladder:
-        if abs(d / fine - round(d / fine)) > 1e-9:
-            raise ValueError(
-                f"every ladder step must be an integer multiple of the finest; "
-                f"{d} / {fine} is not")
-        steps = config.t_final / d
-        if abs(steps - round(steps)) > 1e-8:
-            raise ValueError(
-                f"t_final = {config.t_final} is not an integer multiple of dt = {d}")
+        _step_count(d, fine, f"every ladder step must be an integer multiple of the "
+                             f"finest; {d} / {fine} is not")
+        _step_count(config.t_final, d,
+                    f"t_final = {config.t_final} is not an integer multiple of dt = {d}")
     if config.grid != u.grid:
         raise ValueError("drift lives on a different grid than the config")
     if driver.replicas != config.replicas:
@@ -435,10 +326,9 @@ def strong_error(config: SPDEConfig, u: SpectralVectorField, dt_ladder,
         coarse = increments[:nsteps * factor].reshape(nsteps, factor,
                                                      config.replicas, 2).sum(axis=1)
         cfg = replace(config, dt=d)
-        hg = _half_grid(config.grid)
         c = _to_half(config.grid, make_spde_state(u, config.replicas).coeffs)
         for i in range(nsteps):
-            c = _advance_half(hg, cfg, c, coarse[i], stratonovich=strat)
+            c = _advance_half(config.grid, cfg, c, coarse[i], stratonovich=strat)
         diff = _to_full(config.grid, c) - oracle
         errors = np.sqrt(TWO_PI**2 * np.sum(np.abs(diff) ** 2, axis=(1, 2, 3)))
         r = config.replicas
@@ -592,9 +482,7 @@ def run_semimartingale_flow(drift: DriftField, pressure, *, nu: float, dt: float
     """One flow pass accumulating everything the pathwise action needs."""
     from .action import _quadrature_weights
 
-    steps = int(round(t_final / dt))
-    if abs(steps * dt - t_final) > 1e-9 * max(1.0, t_final):
-        raise ValueError("t_final must be an integer multiple of dt")
+    steps = _step_count(t_final, dt, "t_final must be an integer multiple of dt")
     if pressure.grid != drift.grid:
         raise ValueError("pressure lives on a different grid")
     if ensemble is None:

@@ -211,6 +211,84 @@ class TestOperators:
         assert np.max(np.abs(prod.coeffs - direct.coeffs)) < 1e-12
 
 
+@st.composite
+def _real_coeffs(draw, ncomp=2, dealiased=False):
+    """(grid, c): conjugate-symmetric coefficients of a random real field,
+    shape (ncomp, n, n), optionally restricted to the dealiasing band."""
+    grid = F.TorusGrid(draw(st.sampled_from([4, 6, 8, 16, 32])))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = (ncomp, grid.n, grid.n)
+    c = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    c *= draw(st.floats(1e-3, 1e3))
+    if dealiased:
+        c *= grid.dealias_mask
+    return grid, F.enforce_conjugate_symmetry(c)
+
+
+def _reference_advection_pressure(grid, c):
+    """(v . grad) v and its pressure on the full layout, product by product."""
+    w = F._ifft(c)
+    adv = np.empty_like(c)
+    for i in range(2):
+        gi1 = F._ifft(1j * grid.k1 * c[i])
+        gi2 = F._ifft(1j * grid.k2 * c[i])
+        adv[i] = F._fft(w[0] * gi1 + w[1] * gi2)
+    adv = adv * grid.dealias_mask
+    ksq = grid.k_squared.copy()
+    ksq[0, 0] = 1.0
+    p = 1j * (grid.k1 * adv[0] + grid.k2 * adv[1]) / ksq
+    p[0, 0] = 0.0
+    return adv, p
+
+
+class TestHalfLayoutKernel:
+    @settings(max_examples=40, deadline=None)
+    @given(_real_coeffs(ncomp=3))
+    def test_half_full_round_trip_is_exact(self, case):
+        grid, c = case
+        half = F._to_half(grid, c)
+        assert half.shape == (3, grid.n, grid.n // 2 + 1)
+        assert np.array_equal(F._to_full(grid, half), c)
+        assert np.array_equal(F._to_half(grid, F._to_full(grid, half)), half)
+
+    @settings(max_examples=40, deadline=None)
+    @given(_real_coeffs())
+    def test_leray_is_idempotent_and_divergence_free_on_both_layouts(self, case):
+        grid, c = case
+        scale = np.abs(c).max()
+        full = F._leray(grid, c)
+        half = F._leray(grid, F._to_half(grid, c))
+        assert np.max(np.abs(half - F._to_half(grid, full))) <= 1e-15 * scale
+        for m, p in ((grid, full), (grid.half, half)):
+            assert np.max(np.abs(F._leray(grid, p) - p)) <= 1e-14 * scale
+            assert np.max(np.abs(m.k1 * p[0] + m.k2 * p[1])) <= 1e-13 * scale
+            assert np.array_equal(p[:, 0, 0], c[:, 0, 0])  # mean mode passes through
+
+    @settings(max_examples=40, deadline=None)
+    @given(_real_coeffs(dealiased=True))
+    def test_advection_and_pressure_match_full_layout_reference(self, case):
+        grid, c = case
+        ref_adv, ref_p = _reference_advection_pressure(grid, c)
+        adv = F._advection_half(grid, F._to_half(grid, c))
+        for got, ref in ((F._to_full(grid, adv), ref_adv),
+                         (F._to_full(grid, F._pressure(grid, adv)), ref_p),
+                         (F._pressure(grid, ref_adv), ref_p)):
+            assert np.max(np.abs(got - ref)) <= 1e-13 * max(np.abs(ref).max(), 1e-300)
+
+    @settings(max_examples=15, deadline=None)
+    @given(st.sampled_from([8, 16, 32]), st.integers(0, 2**32 - 1),
+           st.floats(0.1, 1.0), st.floats(0.0, 0.2))
+    def test_ns_solve_nodes_are_conjugate_symmetric(self, n, seed, amplitude, nu):
+        from svns import solver as S
+
+        grid = F.TorusGrid(n)
+        v0 = S.random_divergence_free(grid, seed=seed, kmax=n // 3 - 1,
+                                      amplitude=amplitude)
+        traj = S.ns_solve(v0, S.NSConfig(nu=nu, dt=2e-3, t_final=0.04))
+        for arrays in (traj.velocity_coeffs, traj.pressure_coeffs, traj.rhs_coeffs):
+            assert max(F.conjugate_defect(c) for c in arrays) <= 1e-15
+
+
 class TestEvaluateAt:
     def test_matches_analytic_off_grid(self):
         """Direct summation is exact for band-limited fields at random points."""
