@@ -35,6 +35,7 @@ from .fields import (
     SpectralField,
     TorusGrid,
     _advection_half,
+    _derivative_stack,
     _ifft,
     _to_full,
     _to_half,
@@ -43,6 +44,10 @@ from .flows import (
     BrownianDriver,
     FlowEnsemble,
     FlowObserver,
+    _lattice_quadrature,
+    _material_rows,
+    _replica_stderr,
+    det_jacobian,
     make_flow_ensemble,
     run_flow,
     simpson_weights,
@@ -72,9 +77,6 @@ __all__ = [
     "MultiplierProbe",
     "multiplier_probe",
 ]
-
-TWO_PI = 2.0 * np.pi
-
 
 # ---------------------------------------------------------------------------
 # time envelopes and perturbation fields
@@ -151,26 +153,18 @@ class PerturbationField:
             raise ValueError("vector part must have shape (2, n, n)")
         if self.phi_coeffs is not None and self.phi_coeffs.shape != (grid.n, grid.n):
             raise ValueError("scalar part must have shape (n, n)")
-        g = grid
         if self.w_coeffs is None:
             self._w_eval = None
             self._w_stack = None
         else:
-            w = self.w_coeffs
-            self._w_stack = np.stack([
-                w[0], w[1],
-                1j * g.k1 * w[0], 1j * g.k2 * w[0],
-                1j * g.k1 * w[1], 1j * g.k2 * w[1],
-                -g.k_squared * w[0], -g.k_squared * w[1],
-            ])
-            self._w_eval = PointEvaluator(g, self._w_stack)
+            self._w_stack = _derivative_stack(grid, self.w_coeffs)
+            self._w_eval = PointEvaluator(grid, self._w_stack)
         if self.phi_coeffs is None:
             self._phi_eval = None
             self._phi_stack = None
         else:
-            p = self.phi_coeffs
-            self._phi_stack = np.stack([p, 1j * g.k1 * p, 1j * g.k2 * p])
-            self._phi_eval = PointEvaluator(g, self._phi_stack)
+            self._phi_stack = _derivative_stack(grid, self.phi_coeffs)
+            self._phi_eval = PointEvaluator(grid, self._phi_stack)
 
     def plus(self, other: "PerturbationField", label: str | None = None) -> "PerturbationField":
         """Sum of the vector/scalar parts (envelopes must match)."""
@@ -195,18 +189,18 @@ class PerturbationField:
         return self._w_eval(points)
 
     def h(self, t: float, points: np.ndarray) -> np.ndarray:
-        return self.envelope.value(t) * np.moveaxis(self._w_parts(points)[:2], 0, -1)
+        return self.envelope.value(t) * np.moveaxis(self._w_parts(points)[0::4], 0, -1)
 
     def h_dt(self, t: float, points: np.ndarray) -> np.ndarray:
-        return self.envelope.derivative(t) * np.moveaxis(self._w_parts(points)[:2], 0, -1)
+        return self.envelope.derivative(t) * np.moveaxis(self._w_parts(points)[0::4], 0, -1)
 
     def h_gradient(self, t: float, points: np.ndarray) -> np.ndarray:
-        parts = self._w_parts(points)[2:6]
-        h = np.moveaxis(parts.reshape((2, 2) + parts.shape[1:]), (0, 1), (-2, -1))
-        return self.envelope.value(t) * h
+        parts = self._w_parts(points)
+        grad = parts.reshape((2, 4) + parts.shape[1:])[:, 1:3]
+        return self.envelope.value(t) * np.moveaxis(grad, (0, 1), (-2, -1))
 
     def h_laplacian(self, t: float, points: np.ndarray) -> np.ndarray:
-        return self.envelope.value(t) * np.moveaxis(self._w_parts(points)[6:8], 0, -1)
+        return self.envelope.value(t) * np.moveaxis(self._w_parts(points)[3::4], 0, -1)
 
     def phi(self, t: float, points: np.ndarray) -> np.ndarray:
         if self._phi_eval is None:
@@ -216,7 +210,7 @@ class PerturbationField:
     def phi_gradient(self, t: float, points: np.ndarray) -> np.ndarray:
         if self._phi_eval is None:
             return np.zeros(np.asarray(points).shape)
-        return self.envelope.value(t) * np.moveaxis(self._phi_eval(points)[1:], 0, -1)
+        return self.envelope.value(t) * np.moveaxis(self._phi_eval(points)[1:3], 0, -1)
 
 
 def default_perturbation_basis(grid: TorusGrid, t_final: float) -> list[PerturbationField]:
@@ -356,65 +350,61 @@ class _ActionObserver(FlowObserver):
         self._phi_rows = np.asarray(phi_rows, dtype=int)
         self._npert = npert
 
-    @staticmethod
-    def _qx(vals: np.ndarray) -> np.ndarray:
-        """Lattice quadrature over initial points: (2 pi)^2 times the mean."""
-        return TWO_PI**2 * vals.mean(axis=-1)
-
     def accumulate(self, node, t, ens, drift_values, drift_grads, weight):
         table = self.node_table(ens)
         g = self.grid
+        wi = self._w_ids
         pc = self.pressure.coeffs_at(t)
-        pstack = table.evaluate(PointEvaluator(g, np.stack([
-            pc, 1j * g.k1 * pc, 1j * g.k2 * pc,
-            -g.k1 * g.k1 * pc, -g.k1 * g.k2 * pc, -g.k2 * g.k2 * pc,
-        ])))
-        p_pts, p1, p2, p11, p12, p22 = pstack
-        jac = ens.jacobians
-        det = jac[..., 0, 0] * jac[..., 1, 1] - jac[..., 0, 1] * jac[..., 1, 0]
+        prows = [pc]
+        if wi.size:
+            # p along g + eps h expands through grad p and Hess p
+            prows += [1j * g.k1 * pc, 1j * g.k2 * pc,
+                      -g.k1 * g.k1 * pc, -g.k1 * g.k2 * pc, -g.k2 * g.k2 * pc]
+        pstack = table.evaluate(PointEvaluator(g, np.stack(prows)))
+        p_pts = pstack[0]
+        det = det_jacobian(ens)
         dm1 = det - 1.0
         self.det_defect_max = max(self.det_defect_max, float(np.max(np.abs(dm1))))
         v = drift_values
         vx = v[..., 0]
         vy = v[..., 1]
-        self.k0 += weight * self._qx(vx ** 2 + vy ** 2)
-        self.b0 += weight * self._qx(p_pts * dm1)
+        self.k0 += weight * _lattice_quadrature(vx ** 2 + vy ** 2)
+        self.b0 += weight * _lattice_quadrature(p_pts * dm1)
         if self._union_eval is None:
             return
         allp = table.evaluate(self._union_eval)
         aval = np.array([p.envelope.value(t) for p in self.perts])
         dval = np.array([p.envelope.derivative(t) for p in self.perts])
         g1 = np.zeros((self._npert,) + p_pts.shape)
-        wi = self._w_ids
         if wi.size:
-            # rows per direction: w1 w2 d1w1 d2w1 d1w2 d2w2 Lap w1 Lap w2
-            W = allp[self._w_rows[:, None] + np.arange(8)]
+            _, p1, p2, p11, p12, p22 = pstack
+            # W[j] is derivative-stack row j of every vector direction:
+            # w1 d1w1 d2w1 Lap w1 w2 d1w2 d2w2 Lap w2
+            W = allp[np.arange(8)[:, None] + self._w_rows]
             a = aval[wi][:, None, None]
-            da = dval[wi][:, None, None]
-            # Lh = a' w + a ((v . grad) w + nu Lap w)
-            lh1 = da * W[:, 0] + a * (vx * W[:, 2] + vy * W[:, 3] + self.nu * W[:, 6])
-            lh2 = da * W[:, 1] + a * (vx * W[:, 4] + vy * W[:, 5] + self.nu * W[:, 7])
-            self.k1[wi] += weight * self._qx(vx * lh1 + vy * lh2)
-            self.k2[wi] += weight * self._qx(lh1 ** 2 + lh2 ** 2)
-            trh = a * (W[:, 2] + W[:, 5])
-            deth = a * a * (W[:, 2] * W[:, 5] - W[:, 3] * W[:, 4])
+            lh1, lh2 = _material_rows(W, v, self.nu, a, dval[wi][:, None, None])
+            self.k1[wi] += weight * _lattice_quadrature(vx * lh1 + vy * lh2)
+            self.k2[wi] += weight * _lattice_quadrature(lh1 ** 2 + lh2 ** 2)
+            trh = a * (W[1] + W[6])
+            deth = a * a * (W[1] * W[6] - W[2] * W[5])
             self.htr_max[wi] = np.maximum(self.htr_max[wi], np.abs(trh).max(axis=(1, 2)))
             self.hdet_max[wi] = np.maximum(self.hdet_max[wi], np.abs(deth).max(axis=(1, 2)))
-            h1 = a * W[:, 0]
-            h2 = a * W[:, 1]
+            h1 = a * W[0]
+            h2 = a * W[4]
             g1[wi] = p1 * h1 + p2 * h2
             g2 = 0.5 * (p11 * h1 * h1 + 2.0 * p12 * h1 * h2 + p22 * h2 * h2)
         if self._phi_ids.size:
             g1[self._phi_ids] += aval[self._phi_ids][:, None, None] * allp[self._phi_rows]
         # S2 integrand: (p + eps g1 + eps^2 g2)(det J (1 + eps trH + eps^2 detH) - 1)
-        self.c[:, 0] += weight * self._qx(g1 * dm1)
+        self.c[:, 0] += weight * _lattice_quadrature(g1 * dm1)
         if wi.size:
             ddtr = det * trh
             dddet = det * deth
-            self.c[wi, 0] += weight * self._qx(p_pts * ddtr)
-            self.c[wi, 1] += weight * self._qx(g2 * dm1 + g1[wi] * ddtr + p_pts * dddet)
-            self.c[wi, 2] += weight * self._qx(g2 * ddtr + g1[wi] * dddet)
-            self.c[wi, 3] += weight * self._qx(g2 * dddet)
+            self.c[wi, 0] += weight * _lattice_quadrature(p_pts * ddtr)
+            self.c[wi, 1] += weight * _lattice_quadrature(
+                g2 * dm1 + g1[wi] * ddtr + p_pts * dddet)
+            self.c[wi, 2] += weight * _lattice_quadrature(g2 * ddtr + g1[wi] * dddet)
+            self.c[wi, 3] += weight * _lattice_quadrature(g2 * dddet)
 
 
 @dataclass(eq=False)
@@ -443,6 +433,9 @@ class ActionRun:
 
     def pert_index(self, pert) -> int:
         if isinstance(pert, (int, np.integer)):
+            npert = len(self.perturbations)
+            if not 0 <= pert < npert:
+                raise ValueError(f"perturbation index {int(pert)} is outside [0, {npert})")
             return int(pert)
         for i, q in enumerate(self.perturbations):
             if q is pert:
@@ -469,6 +462,30 @@ def _quadrature_weights(kind: str, steps: int, dt: float) -> np.ndarray:
     raise ValueError(f"unknown quadrature {kind!r}")
 
 
+def _action_pass(drift: DriftField, pressure, make_observer, *, nu: float, dt: float,
+                 t_final: float, driver: BrownianDriver, ensemble: FlowEnsemble | None,
+                 stride: int, quadrature: str):
+    """The flow pass behind the action and its pathwise form.
+
+    Checks the horizon, the lattice (defaulting to the full grid with the
+    driver's replica count) and the pressure grid, then runs the flow with
+    the observer make_observer(replicas, steps); returns the observer and
+    the final ensemble.
+    """
+    steps = _step_count(t_final, dt, "t_final must be an integer multiple of dt")
+    if ensemble is None:
+        ensemble = make_flow_ensemble(drift.grid, driver.replicas, stride=stride)
+    if ensemble.jacobians is None:
+        raise ValueError("the action needs Jacobian tracking")
+    if pressure.grid != drift.grid:
+        raise ValueError("pressure lives on a different grid")
+    weights = _quadrature_weights(quadrature, steps, dt)
+    obs = make_observer(ensemble.replicas, steps)
+    final = run_flow(ensemble, drift, nu, dt, steps, driver, observers=(obs,),
+                     weights=weights)
+    return obs, final
+
+
 def prepare_action_run(drift: DriftField, pressure, *, nu: float, dt: float,
                        t_final: float, driver: BrownianDriver,
                        ensemble: FlowEnsemble | None = None, stride: int = 1,
@@ -478,34 +495,26 @@ def prepare_action_run(drift: DriftField, pressure, *, nu: float, dt: float,
     The ensemble defaults to the full grid lattice with the driver's replica
     count. All perturbation envelopes must live on [0, t_final].
     """
-    steps = _step_count(t_final, dt, "t_final must be an integer multiple of dt")
-    for pert in perturbations:
+    perts = tuple(perturbations)
+    for pert in perts:
         if abs(pert.envelope.t_final - t_final) > 1e-12:
             raise ValueError(
                 f"perturbation {pert.label!r} lives on horizon "
                 f"{pert.envelope.t_final}, run has {t_final}")
-    if ensemble is None:
-        ensemble = make_flow_ensemble(drift.grid, driver.replicas, stride=stride)
-    if ensemble.jacobians is None:
-        raise ValueError("the action needs Jacobian tracking")
-    if pressure.grid != drift.grid:
-        raise ValueError("pressure lives on a different grid")
-    weights = _quadrature_weights(quadrature, steps, dt)
-    obs = _ActionObserver(drift.grid, pressure, tuple(perturbations),
-                          ensemble.replicas, nu)
-    final = run_flow(ensemble, drift, nu, dt, steps, driver, observers=(obs,),
-                     weights=weights)
-    return ActionRun(drift.grid, nu, dt, t_final, tuple(perturbations),
+    obs, final = _action_pass(
+        drift, pressure,
+        lambda replicas, steps: _ActionObserver(drift.grid, pressure, perts, replicas, nu),
+        nu=nu, dt=dt, t_final=t_final, driver=driver, ensemble=ensemble,
+        stride=stride, quadrature=quadrature)
+    return ActionRun(drift.grid, nu, dt, t_final, perts,
                      obs.k0, obs.b0, obs.k1, obs.k2, obs.c,
                      obs.htr_max, obs.hdet_max, obs.det_defect_max, final)
 
 
 def _breakdown(s1: np.ndarray, s2: np.ndarray) -> ActionBreakdown:
-    r = s1.shape[0]
     return ActionBreakdown(float(s1.mean()), float(s2.mean()),
-                           float(s1.std(ddof=1) / np.sqrt(r)) if r > 1 else 0.0,
-                           float(s2.std(ddof=1) / np.sqrt(r)) if r > 1 else 0.0,
-                           r)
+                           float(_replica_stderr(s1)), float(_replica_stderr(s2)),
+                           s1.shape[0])
 
 
 def action_evaluate(run: ActionRun) -> ActionBreakdown:
@@ -553,7 +562,6 @@ def gateaux_derivative(run: ActionRun, pert, epsilon_ladder) -> GateauxEstimate:
     if any(e <= 0 for e in ladder) or any(a <= b for a, b in zip(ladder, ladder[1:])):
         raise ValueError("epsilon ladder must be strictly decreasing and positive")
     i = run.pert_index(pert)
-    r = run.replicas
     per_rung = []
     diffs = []
     for eps in ladder:
@@ -561,19 +569,17 @@ def gateaux_derivative(run: ActionRun, pert, epsilon_ladder) -> GateauxEstimate:
         minus = np.add(*run.replica_action(i, -eps))
         d = (plus - minus) / (2.0 * eps)
         diffs.append(d)
-        per_rung.append((eps, float(d.mean()),
-                         float(d.std(ddof=1) / np.sqrt(r)) if r > 1 else 0.0))
+        per_rung.append((eps, float(d.mean()), float(_replica_stderr(d))))
     e1, e0 = ladder[-2], ladder[-1]
     extrap = (e1**2 * diffs[-1] - e0**2 * diffs[-2]) / (e1**2 - e0**2)
     mean = float(extrap.mean())
-    se = float(extrap.std(ddof=1) / np.sqrt(r)) if r > 1 else 0.0
+    se = float(_replica_stderr(extrap))
     order = None
     devs = [abs(v - mean) for _, v, _ in per_rung]
     if len(per_rung) >= 2 and min(devs) > 1e-13 * max(1.0, abs(mean)):
         fit = np.polyfit(np.log(ladder), np.log(devs), 1)
         order = float(fit[0])
-    label = run.perturbations[i].label if run.perturbations else "pert"
-    return GateauxEstimate(label, per_rung, mean, se, order)
+    return GateauxEstimate(run.perturbations[i].label, per_rung, mean, se, order)
 
 
 # ---------------------------------------------------------------------------
@@ -619,9 +625,9 @@ class _PairingObserver(FlowObserver):
         table = self.node_table(ens)
         rvals = table.evaluate(PointEvaluator(self.grid, res))
         a = self.pert.envelope.value(t)
-        w = table.evaluate(self.pert._w_eval)[:2]
+        w = table.evaluate(self.pert._w_eval)[0::4]
         pair = a * (rvals[0] * w[0] + rvals[1] * w[1])
-        self.acc += weight * TWO_PI**2 * pair.mean(axis=-1)
+        self.acc += weight * _lattice_quadrature(pair)
 
 
 def euler_lagrange_residual(drift: DriftField, pressure, pert: PerturbationField, *,
@@ -641,9 +647,8 @@ def euler_lagrange_residual(drift: DriftField, pressure, pert: PerturbationField
     weights = _quadrature_weights(quadrature, steps, dt)
     obs = _PairingObserver(drift.grid, drift, pressure, pert, nu, ensemble.replicas)
     run_flow(ensemble, drift, nu, dt, steps, driver, observers=(obs,), weights=weights)
-    r = ensemble.replicas
-    se = float(obs.acc.std(ddof=1) / np.sqrt(r)) if r > 1 else 0.0
-    return ELResidual(float(obs.acc.mean()), se, obs.residual_norm)
+    return ELResidual(float(obs.acc.mean()), float(_replica_stderr(obs.acc)),
+                      obs.residual_norm)
 
 
 @dataclass(eq=False)
@@ -669,9 +674,8 @@ def multiplier_probe(drift: DriftField, *, nu: float, dt: float, t_final: float,
                              t_final=t_final, driver=driver, ensemble=ensemble,
                              stride=stride, perturbations=phis, quadrature=quadrature)
     out = []
-    r = run.replicas
     for i, phi in enumerate(phis):
         vals = run.constraint_poly[i, 0]  # eps^1 coefficient: int phi (det - 1)
-        se = float(vals.std(ddof=1) / np.sqrt(r)) if r > 1 else 0.0
-        out.append(MultiplierProbe(phi.label, float(vals.mean()), se))
+        out.append(MultiplierProbe(phi.label, float(vals.mean()),
+                                   float(_replica_stderr(vals))))
     return out

@@ -326,6 +326,14 @@ def _grad_coeffs(grid: TorusGrid, c: np.ndarray) -> np.ndarray:
     return np.stack([1j * grid.k1 * c, 1j * grid.k2 * c])
 
 
+def _derivative_stack(grid: TorusGrid, coeffs: np.ndarray) -> np.ndarray:
+    """Rows f, d1 f, d2 f, Lap f of each component of (n, n) or (m, n, n)
+    coefficients, stacked component by component as (4 m, n, n)."""
+    c = np.asarray(coeffs, dtype=np.complex128).reshape(-1, grid.n, grid.n)
+    rows = np.stack([c, 1j * grid.k1 * c, 1j * grid.k2 * c, -grid.k_squared * c], axis=1)
+    return rows.reshape(-1, grid.n, grid.n)
+
+
 def gradient(field: SpectralField) -> SpectralVectorField:
     """grad u, componentwise i k_j u_hat."""
     return SpectralVectorField(field.grid, _grad_coeffs(field.grid, field.coeffs))

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtri
 
-from .fields import PhaseTable, PointEvaluator, SpectralField, TorusGrid, mean_value
+from .fields import TWO_PI, PhaseTable, PointEvaluator, SpectralField, TorusGrid, mean_value
 from .solver import DriftField
 
 __all__ = [
@@ -202,6 +202,34 @@ class FlowObserver:
                    drift_values: np.ndarray, drift_grads: np.ndarray | None,
                    weight: float) -> None:
         raise NotImplementedError
+
+
+def _lattice_quadrature(vals: np.ndarray) -> np.ndarray:
+    """int f(g_t(x)) dx from values over a lattice of initial points on the
+    last axis: (2 pi)^2 times the point mean."""
+    return TWO_PI**2 * vals.mean(axis=-1)
+
+
+def _material_rows(rows: np.ndarray, v: np.ndarray, nu: float, a, da) -> np.ndarray:
+    """Particle-side L_t f = a' F + a ((v . grad) F + nu Lap F) for f = a(t) F(x).
+
+    rows holds F's derivative stack (rows F, d1 F, d2 F, Lap F per component,
+    on the first axis) evaluated at the particles, v the drift there with a
+    trailing axis 2; returns one row per component.
+    """
+    r = rows.reshape((-1, 4) + rows.shape[1:])
+    return da * r[:, 0] + a * (v[..., 0] * r[:, 1] + v[..., 1] * r[:, 2] + nu * r[:, 3])
+
+
+def _replica_stderr(samples: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Standard error of the mean along the sample axis (replicas or
+    branches): the sample standard deviation over sqrt(count), and zero for
+    a single sample, which has no spread to estimate."""
+    samples = np.asarray(samples)
+    r = samples.shape[axis]
+    if r < 2:
+        return np.zeros_like(samples.mean(axis=axis))
+    return samples.std(axis=axis, ddof=1) / np.sqrt(r)
 
 
 def simpson_weights(steps: int, dt: float) -> np.ndarray:
@@ -389,7 +417,7 @@ def generalized_derivative(observable, ens: FlowEnsemble, drift: DriftField,
             pos = pos + (dt / 2.0) * (v1 + v2) + noise[:, None, :]
         quot[b] = (observable.values(t0 + eps, pos) - base) / eps
     mean = quot.mean(axis=0)
-    stderr = quot.std(axis=0, ddof=1) / np.sqrt(branches)
+    stderr = _replica_stderr(quot, axis=0)
     return BranchEstimate(mean, stderr, eps, branches,
                           samples=quot if keep_samples else None)
 

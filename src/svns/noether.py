@@ -30,12 +30,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import (
+    TWO_PI,
     PhaseTable,
     PointEvaluator,
     SpectralField,
     SpectralVectorField,
     TorusGrid,
     _advection_half,
+    _derivative_stack,
     _to_full,
     _to_half,
     _values_half,
@@ -44,14 +46,15 @@ from .flows import (
     BranchEstimate,
     BrownianDriver,
     FlowObserver,
+    _lattice_quadrature,
+    _material_rows,
+    _replica_stderr,
     det_jacobian,
     generalized_derivative,
     make_flow_ensemble,
     run_flow,
 )
 from .solver import _NODE_CHUNK, DriftField, NSTrajectory, _step_count
-
-TWO_PI = 2.0 * np.pi
 
 __all__ = [
     "ConstantEnvelope",
@@ -98,24 +101,10 @@ class SymmetryPair:
             raise ValueError("eta must have shape (2, n, n)")
         if self.g_coeffs is not None and self.g_coeffs.shape != (grid.n, grid.n):
             raise ValueError("G must have shape (n, n)")
-        g = grid
-        if self.eta_coeffs is None:
-            self._eta_eval = None
-        else:
-            w = self.eta_coeffs
-            self._eta_eval = PointEvaluator(g, np.stack([
-                w[0], w[1],
-                1j * g.k1 * w[0], 1j * g.k2 * w[0],
-                1j * g.k1 * w[1], 1j * g.k2 * w[1],
-                -g.k_squared * w[0], -g.k_squared * w[1],
-            ]))
-        if self.g_coeffs is None:
-            self._g_eval = None
-        else:
-            p = self.g_coeffs
-            self._g_eval = PointEvaluator(g, np.stack([
-                p, 1j * g.k1 * p, 1j * g.k2 * p, -g.k_squared * p,
-            ]))
+        self._eta_eval = (None if self.eta_coeffs is None
+                          else PointEvaluator(grid, _derivative_stack(grid, self.eta_coeffs)))
+        self._g_eval = (None if self.g_coeffs is None
+                        else PointEvaluator(grid, _derivative_stack(grid, self.g_coeffs)))
 
 
 def translation_pair(grid: TorusGrid, axis: int, label: str | None = None) -> SymmetryPair:
@@ -198,15 +187,12 @@ class _InvarianceObserver(FlowObserver):
             self.det_defect = max(self.det_defect,
                                   float(np.max(np.abs(det_jacobian(ens) - 1.0))))
         if pair._eta_eval is not None:
-            e = table.evaluate(pair._eta_eval)
             # L_t eta at the particles, same chain-rule form as the operator
-            le1 = da * e[0] + a * (v[..., 0] * e[2] + v[..., 1] * e[3] + self.nu * e[6])
-            le2 = da * e[1] + a * (v[..., 0] * e[4] + v[..., 1] * e[5] + self.nu * e[7])
-            self.lhs[node] = TWO_PI**2 * (v[..., 0] * le1 + v[..., 1] * le2).mean(axis=-1)
+            le1, le2 = _material_rows(table.evaluate(pair._eta_eval), v, self.nu, a, da)
+            self.lhs[node] = _lattice_quadrature(v[..., 0] * le1 + v[..., 1] * le2)
         if pair._g_eval is not None:
-            m = table.evaluate(pair._g_eval)
-            lg = da * m[0] + a * (v[..., 0] * m[1] + v[..., 1] * m[2] + self.nu * m[3])
-            self.rhs[node] = TWO_PI**2 * lg.mean(axis=-1)
+            lg = _material_rows(table.evaluate(pair._g_eval), v, self.nu, a, da)[0]
+            self.rhs[node] = _lattice_quadrature(lg)
 
 
 def invariance_check(pair: SymmetryPair, drift: DriftField, *, nu: float,
@@ -226,7 +212,7 @@ def invariance_check(pair: SymmetryPair, drift: DriftField, *, nu: float,
     run_flow(ens, drift, nu, dt, steps, driver, observers=(obs,))
     diff = obs.lhs - obs.rhs
     defect = np.abs(diff.mean(axis=1))
-    stderr = diff.std(axis=1, ddof=1) / np.sqrt(driver.replicas)
+    stderr = _replica_stderr(diff, axis=1)
     warning = None
     if obs.det_defect > det_tolerance:
         warning = (f"flow is not measure-preserving at tolerance {det_tolerance:g} "
@@ -317,10 +303,10 @@ class _ChargeObservable:
         if pair._eta_eval is not None:
             e = table.evaluate(pair._eta_eval)
             v = self.drift.velocity(t, table)
-            out += a * (v[..., 0] * e[0] + v[..., 1] * e[1])
+            out += a * (v[..., 0] * e[0] + v[..., 1] * e[4])
         if pair._g_eval is not None:
             out -= a * table.evaluate(pair._g_eval)[0]
-        return TWO_PI**2 * out.mean(axis=-1)
+        return _lattice_quadrature(out)
 
 
 def martingale_probe(pair: SymmetryPair, drift: DriftField, *, nu: float,
@@ -349,8 +335,7 @@ def martingale_probe(pair: SymmetryPair, drift: DriftField, *, nu: float,
         est = generalized_derivative(obs, ens, drift, nu, dt, driver,
                                      eps_steps=eps_steps, branches=branches,
                                      keep_samples=False)
-        nrep = est.mean.size
-        se = float(est.mean.std(ddof=1) / np.sqrt(nrep)) if nrep > 1 else 0.0
         out.append(ProbePoint(t=ens.t, series=series, estimate=est,
-                              drift=float(est.mean.mean()), drift_stderr=se))
+                              drift=float(est.mean.mean()),
+                              drift_stderr=float(_replica_stderr(est.mean))))
     return out

@@ -30,11 +30,12 @@ counter-based driver, making every result a pure function of (seed,
 replica count, parameters).
 
 The pathwise action functional of a flow run whose martingale part is the
-scaled Brownian motion sqrt(2 nu) W is also evaluated here: its two
-stochastic-integral terms (drift paired against dM, and sqrt(2 nu) times
-drift paired against dW) cancel identically for such runs, which is
-verified numerically, and the remainder is the per-replica integrand of
-the averaged action.
+scaled Brownian motion sqrt(2 nu) W is also evaluated here. Its pass is the
+action pass of svns.action with no variation directions plus two
+left-endpoint Ito sums: drift paired against dM, and sqrt(2 nu) times drift
+paired against dW. The two sums cancel identically for such runs, which is
+verified numerically, and the remainder is the action pass's own
+per-replica kinetic-plus-constraint integrand.
 """
 
 from __future__ import annotations
@@ -43,9 +44,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .action import _action_pass, _ActionObserver
 from .fields import (
     TWO_PI,
-    PointEvaluator,
     SpectralVectorField,
     TorusGrid,
     _advection_half,
@@ -56,7 +57,7 @@ from .fields import (
     _values_half,
     parseval_integral,
 )
-from .flows import BrownianDriver, FlowObserver, make_flow_ensemble, run_flow
+from .flows import BrownianDriver, _lattice_quadrature, _replica_stderr
 from .solver import CFLError, DriftField, _step_count
 
 __all__ = [
@@ -331,9 +332,7 @@ def strong_error(config: SPDEConfig, u: SpectralVectorField, dt_ladder,
             c = _advance_half(config.grid, cfg, c, coarse[i], stratonovich=strat)
         diff = _to_full(config.grid, c) - oracle
         errors = np.sqrt(TWO_PI**2 * np.sum(np.abs(diff) ** 2, axis=(1, 2, 3)))
-        r = config.replicas
-        se = float(errors.std(ddof=1) / np.sqrt(r)) if r > 1 else 0.0
-        rows.append(StrongErrorRow(d, float(errors.mean()), se))
+        rows.append(StrongErrorRow(d, float(errors.mean()), float(_replica_stderr(errors))))
     means = np.array([row.mean_error for row in rows])
     order = None
     if np.all(means > 1e-12):
@@ -412,67 +411,54 @@ def ensemble_mode_means(v0: SpectralVectorField, config: SPDEConfig, seed: int,
 
 @dataclass(eq=False)
 class SemimartingaleFlowRun:
-    """Accumulated functionals of one flow pass dg = v dt + dM, with the
-    martingale part recorded explicitly.
+    """Accumulated functionals of one flow pass dg = v dt + dM whose
+    martingale part M is the scaled Brownian motion sqrt(2 nu) W.
 
-    For runs produced here the martingale part is the scaled Brownian
-    motion sqrt(2 nu) W ("scaled-brownian"); a run with a general
-    martingale part is representable (martingale_form = "general" with the
-    pairing sums absent) but has no executable flow in this package.
-    kinetic and constraint are per-replica time-quadratures of
-    int |v(t, g_t)|^2 dx and int p(t, g_t)(det grad g_t - 1) dx;
-    mart_pairing and wiener_pairing are left-endpoint Ito sums of
-    int v(t, g_t) dx paired with the dM and dW increments respectively
-    (the latter unscaled).
+    The pass is the action pass with no variation directions plus two Ito
+    sums: kinetic and constraint are the action pass's per-replica
+    time-quadratures of int |v(t, g_t)|^2 dx and
+    int p(t, g_t)(det grad g_t - 1) dx, bit for bit; mart_pairing and
+    wiener_pairing are left-endpoint Ito sums of int v(t, g_t) dx paired
+    with the dM and dW increments respectively (the latter unscaled).
     """
 
     grid: TorusGrid
     nu: float
     dt: float
     t_final: float
-    martingale_form: str
     kinetic: np.ndarray
     constraint: np.ndarray
-    mart_pairing: np.ndarray | None = None
-    wiener_pairing: np.ndarray | None = None
+    mart_pairing: np.ndarray
+    wiener_pairing: np.ndarray
 
     @property
     def replicas(self) -> int:
         return self.kinetic.shape[0]
 
 
-class _TildeObserver(FlowObserver):
+class _TildeObserver(_ActionObserver):
+    """The action observer with no directions, plus the dM and dW pairings."""
+
     def __init__(self, grid, pressure, nu, dt, steps, driver, replicas):
-        self.grid = grid
-        self.pressure = pressure
-        self.nu = nu
+        super().__init__(grid, pressure, (), replicas, nu)
         self.dt = dt
         self.steps = steps
         self.driver = driver
-        self.kinetic = np.zeros(replicas)
-        self.constraint = np.zeros(replicas)
         self.mart = np.zeros(replicas)
         self.wiener = np.zeros(replicas)
 
     def accumulate(self, node, t, ens, drift_values, drift_grads, weight):
-        v1 = drift_values[..., 0]
-        v2 = drift_values[..., 1]
-        if weight != 0.0:
-            self.kinetic += weight * TWO_PI**2 * (v1**2 + v2**2).mean(axis=-1)
-            j = ens.jacobians
-            det = (j[..., 0, 0] * j[..., 1, 1] - j[..., 0, 1] * j[..., 1, 0])
-            pc = self.pressure.coeffs_at(t)
-            pvals = self.node_table(ens).evaluate(PointEvaluator(self.grid, pc[None]))[0]
-            self.constraint += weight * TWO_PI**2 * (pvals * (det - 1.0)).mean(axis=-1)
+        super().accumulate(node, t, ens, drift_values, drift_grads, weight)
         if node < self.steps:
             # left-endpoint Ito sums against the coming increment; the
             # driver is counter-based, so this reads the exact increment
             # the flow will consume for this step
             dw = self.driver.increments(node, self.dt)
-            vbar = TWO_PI**2 * np.stack([v1.mean(axis=-1), v2.mean(axis=-1)], axis=-1)
+            v1 = _lattice_quadrature(drift_values[..., 0])
+            v2 = _lattice_quadrature(drift_values[..., 1])
             dm = np.sqrt(2.0 * self.nu) * dw
-            self.mart += vbar[:, 0] * dm[:, 0] + vbar[:, 1] * dm[:, 1]
-            self.wiener += vbar[:, 0] * dw[:, 0] + vbar[:, 1] * dw[:, 1]
+            self.mart += v1 * dm[:, 0] + v2 * dm[:, 1]
+            self.wiener += v1 * dw[:, 0] + v2 * dw[:, 1]
 
 
 def run_semimartingale_flow(drift: DriftField, pressure, *, nu: float, dt: float,
@@ -480,22 +466,14 @@ def run_semimartingale_flow(drift: DriftField, pressure, *, nu: float, dt: float
                             ensemble=None, stride: int = 1,
                             quadrature: str = "simpson") -> SemimartingaleFlowRun:
     """One flow pass accumulating everything the pathwise action needs."""
-    from .action import _quadrature_weights
-
-    steps = _step_count(t_final, dt, "t_final must be an integer multiple of dt")
-    if pressure.grid != drift.grid:
-        raise ValueError("pressure lives on a different grid")
-    if ensemble is None:
-        ensemble = make_flow_ensemble(drift.grid, driver.replicas, stride=stride)
-    if ensemble.jacobians is None:
-        raise ValueError("the pathwise action needs Jacobian tracking")
-    weights = _quadrature_weights(quadrature, steps, dt)
-    obs = _TildeObserver(drift.grid, pressure, nu, dt, steps, driver,
-                         ensemble.replicas)
-    run_flow(ensemble, drift, nu, dt, steps, driver, observers=(obs,),
-             weights=weights)
-    return SemimartingaleFlowRun(drift.grid, nu, dt, t_final, "scaled-brownian",
-                                 obs.kinetic, obs.constraint, obs.mart, obs.wiener)
+    obs, _ = _action_pass(
+        drift, pressure,
+        lambda replicas, steps: _TildeObserver(drift.grid, pressure, nu, dt, steps,
+                                               driver, replicas),
+        nu=nu, dt=dt, t_final=t_final, driver=driver, ensemble=ensemble,
+        stride=stride, quadrature=quadrature)
+    return SemimartingaleFlowRun(drift.grid, nu, dt, t_final, obs.k0, obs.b0,
+                                 obs.mart, obs.wiener)
 
 
 @dataclass(eq=False)
@@ -510,23 +488,16 @@ class TildeActionValue:
 
 
 def tilde_action_evaluate(run: SemimartingaleFlowRun) -> TildeActionValue:
-    """All four terms of the pathwise action, for scaled-Brownian runs.
+    """All four terms of the pathwise action of a scaled-Brownian run.
 
     The dM pairing and the scaled dW pairing are identical sums computed in
     separate accumulators; their difference (the cancellation defect) is
     pure floating-point reassociation, and the value reduces to the
     kinetic-plus-constraint integrand, now pathwise rather than averaged.
     """
-    if run.martingale_form != "scaled-brownian":
-        raise ValueError(
-            "unsupported martingale part: only runs whose martingale part is "
-            "the scaled Brownian motion sqrt(2 nu) W can be evaluated")
-    if run.mart_pairing is None or run.wiener_pairing is None:
-        raise ValueError("run is missing its stochastic-integral pairings")
     term2 = run.mart_pairing
     term3 = np.sqrt(2.0 * run.nu) * run.wiener_pairing
     values = 0.5 * run.kinetic + run.constraint + term2 - term3
-    defect = float(np.max(np.abs(term2 - term3))) if len(term2) else 0.0
-    r = run.replicas
-    se = float(values.std(ddof=1) / np.sqrt(r)) if r > 1 else 0.0
-    return TildeActionValue(values, float(values.mean()), se, defect)
+    defect = float(np.max(np.abs(term2 - term3)))
+    return TildeActionValue(values, float(values.mean()), float(_replica_stderr(values)),
+                            defect)

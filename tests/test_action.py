@@ -479,6 +479,11 @@ class TestValidation:
         with pytest.raises(ValueError, match="not registered"):
             ns_run.pert_index(stranger)
 
+    def test_out_of_range_index_rejected(self, ns_run, perts):
+        for bad in (-1, len(perts), np.int64(len(perts) + 3)):
+            with pytest.raises(ValueError, match="outside"):
+                ns_run.pert_index(bad)
+
     def test_combining_different_horizons_rejected(self, grid):
         a = PerturbationField(grid, w_coeffs=np.zeros((2, grid.n, grid.n)),
                               envelope=SineSquaredEnvelope(0.1))

@@ -209,6 +209,20 @@ class TestNoether:
                          "invariance-defect", "charge-drift[t=0.05]"]
         assert doc["passed"] is True
 
+    def test_single_replica_report_is_valid_json(self, tmp_path):
+        run_cli("--experiment", "noether", "--out", tmp_path,
+                "--replicas", "1", "--symmetry", "translation-y",
+                "--set", "t_final=0.05", "--set", "probe_times=0.05")
+        text = (tmp_path / "noether.json").read_text()
+
+        def reject(name):
+            raise ValueError(f"non-JSON constant {name}")
+
+        doc = json.loads(text, parse_constant=reject)
+        inv = next(c for c in doc["checks"] if c["name"] == "invariance-defect")
+        assert inv["stderr"] == 0.0
+        assert np.isfinite(inv["tolerance"])
+
     def test_broken_symmetry_fails_loudly(self, tmp_path):
         # a shear profile is not a symmetry generator of the dynamics: the
         # residual check must fail by orders of magnitude

@@ -17,6 +17,8 @@ Oracles
   near 1e-9 while the bias sits near 1e-8; both are far under dt^2 = 1e-6).
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -221,6 +223,14 @@ class TestInvarianceCheck:
         sig = np.max(rep.defect / np.maximum(rep.stderr, 1e-300))
         assert sig > 5.0
         assert np.max(rep.defect) > 1e-3
+
+    def test_single_replica_has_zero_stderr(self, grid, traj):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = invariance_check(translation_pair(grid, 0), SampledDrift(traj), nu=NU,
+                                   dt=DT, t_final=0.1, stride=4,
+                                   driver=BrownianDriver(seed=42, replicas=1))
+        assert np.array_equal(rep.stderr, np.zeros(len(rep.times)))
 
     def test_non_measure_preserving_flow_warns(self, grid):
         comp = np.zeros((2, grid.n, grid.n), dtype=complex)
