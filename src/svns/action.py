@@ -605,6 +605,8 @@ class _PairingObserver(FlowObserver):
         self.nu = nu
         self.acc = np.zeros(replicas)
         self.residual_norm = 0.0
+        # only the value rows of w pair with the residual
+        self.w_eval = None if pert.w_coeffs is None else PointEvaluator(grid, pert.w_coeffs)
 
     def _residual_coeffs(self, t: float) -> np.ndarray:
         """d_t v + (v . grad) v - nu Lap v + grad p, spectrally."""
@@ -620,12 +622,12 @@ class _PairingObserver(FlowObserver):
         res = self._residual_coeffs(t)
         self.residual_norm = max(
             self.residual_norm, float(np.max(np.abs(_ifft(res)))))
-        if self.pert._w_eval is None:
+        if self.w_eval is None:
             return
         table = self.node_table(ens)
         rvals = table.evaluate(PointEvaluator(self.grid, res))
         a = self.pert.envelope.value(t)
-        w = table.evaluate(self.pert._w_eval)[0::4]
+        w = table.evaluate(self.w_eval)
         pair = a * (rvals[0] * w[0] + rvals[1] * w[1])
         self.acc += weight * _lattice_quadrature(pair)
 

@@ -300,6 +300,11 @@ def _fmt(x) -> str:
     return str(x)
 
 
+def _json_number(x: float) -> float | None:
+    """JSON has no NaN or infinity: an undefined measurement is written as null."""
+    return x if np.isfinite(x) else None
+
+
 def _config_echo(cfg: dict) -> dict:
     echo = {}
     for key in sorted(cfg):
@@ -327,9 +332,9 @@ def _write_reports(cfg: dict, rows: list[CheckRow], header: list[str],
         "checks": [
             {
                 "name": r.name,
-                "value": r.value,
-                "stderr": r.stderr,
-                "tolerance": r.tolerance,
+                "value": _json_number(r.value),
+                "stderr": _json_number(r.stderr),
+                "tolerance": _json_number(r.tolerance),
                 "passed": r.passed,
                 "diagnostic": r.diagnostic,
             }

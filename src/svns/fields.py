@@ -387,6 +387,15 @@ def _pressure(grid: TorusGrid, adv: np.ndarray) -> np.ndarray:
     return _inverse_laplacian(grid, 1j * (m.k1 * adv[..., 0, :, :] + m.k2 * adv[..., 1, :, :]))
 
 
+def _biot_savart(grid: TorusGrid, omega: np.ndarray) -> np.ndarray:
+    """Mean-zero divergence-free velocity (..., 2, n, h) whose curl
+    d1 v2 - d2 v1 is the half-layout omega (..., n, h): v = (d2 psi, -d1 psi)
+    with -Delta psi = omega. The k = 0 entries are zero."""
+    hg = grid.half
+    psi = omega / hg.k_squared_safe
+    return np.stack([hg.ik2 * psi, -hg.ik1 * psi], axis=-3)
+
+
 def leray_project(v: SpectralVectorField) -> SpectralVectorField:
     """Project onto divergence-free fields, preserving the mean mode."""
     return SpectralVectorField(v.grid, _leray(v.grid, v.coeffs))

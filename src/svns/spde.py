@@ -24,10 +24,16 @@ equation re-emerges in the mean without any viscous term in the dynamics.
 
 Both integrators keep the per-mode noise action diagonal (the transport
 phase i sqrt(2 nu)(k . dW) multiplies each coefficient), so the noise adds
-no aliasing; products are dealiased exactly as in the deterministic solver,
-every step ends with a projection, and all randomness flows through the
-counter-based driver, making every result a pure function of (seed,
-replica count, parameters).
+no aliasing and commutes with the curl. The steps therefore march the
+scalar vorticity omega = d1 v2 - d2 v1, whose dealiased advection
+(v . grad) omega is the curl of the velocity form's projected advection,
+and rebuild the velocity from omega by Biot-Savart, divergence-free by
+construction and with its mean mode carried unchanged; the velocity form's
+projections drop out. Every ensemble is marched in replica blocks of a
+fixed byte budget through one march shared by spde_solve and
+strong_error. All randomness flows through the counter-based driver,
+making every result a pure function of (seed, replica count,
+parameters), whatever the block or chunk size.
 
 The pathwise action functional of a flow run whose martingale part is the
 scaled Brownian motion sqrt(2 nu) W is also evaluated here. Its pass is the
@@ -50,6 +56,7 @@ from .fields import (
     SpectralVectorField,
     TorusGrid,
     _advection_half,
+    _biot_savart,
     _leray,
     _pressure,
     _to_full,
@@ -81,6 +88,9 @@ __all__ = [
 ]
 
 _SCHEMES = ("ito", "stratonovich-heun")
+# bytes of velocity grid values per replica block of the march: small
+# enough to stay in cache, large enough to amortise the per-call overhead
+_BLOCK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -149,6 +159,14 @@ def _transport_phase(modes, nu: float, dw: np.ndarray) -> np.ndarray:
                                 + dw[..., 1, None, None] * modes.k2)
 
 
+def _initial_half(v0: SpectralVectorField, replicas: int) -> np.ndarray:
+    """Half-layout coefficients of v0, projected and dealiased, broadcast
+    read-only to (replicas, 2, n, h)."""
+    g = v0.grid
+    c = _to_half(g, _leray(g, v0.coeffs * g.dealias_mask))
+    return np.broadcast_to(c, (replicas,) + c.shape)
+
+
 def make_spde_state(v0: SpectralVectorField, replicas: int) -> SPDEState:
     """All replicas started from v0 (projected and dealiased) at t = 0."""
     if replicas < 1:
@@ -159,18 +177,29 @@ def make_spde_state(v0: SpectralVectorField, replicas: int) -> SPDEState:
     return SPDEState(g, coeffs, 0.0, 0, np.zeros((replicas, 2)))
 
 
-def _check_compat(state: SPDEState, config: SPDEConfig, driver: BrownianDriver) -> None:
-    if state.grid != config.grid:
+def _check_compat(grid: TorusGrid, replicas: int, config: SPDEConfig,
+                  driver: BrownianDriver) -> None:
+    if grid != config.grid:
         raise ValueError("state lives on a different grid than the config")
-    if state.replicas != config.replicas:
+    if replicas != config.replicas:
         raise ValueError("state and config disagree on the replica count")
-    if driver.replicas != state.replicas:
+    if driver.replicas != replicas:
         raise ValueError("driver and state disagree on the replica count")
 
 
 def _advance_half(grid: TorusGrid, config: SPDEConfig, c: np.ndarray,
                   dw: np.ndarray, stratonovich: bool) -> np.ndarray:
-    """One step on half-layout coefficients c of shape (replicas, 2, n, h)."""
+    """One step on half-layout velocity coefficients c of shape
+    (replicas, 2, n, h), marched on the vorticity omega = d1 v2 - d2 v1.
+
+    The uniform noise phase commutes with the curl, and under the 2/3 rule
+    the curl of the projected advection is the dealiased (v . grad) omega,
+    so the update is the velocity equation's with one scalar advected in
+    place of two components and no projection. The velocity returned is
+    the Biot-Savart velocity of the new vorticity, divergence-free by
+    construction, with the mean mode carried over: advection, viscosity
+    and the phase all leave it fixed.
+    """
     hg = grid.half
     dt = config.dt
     nu = config.nu
@@ -182,24 +211,52 @@ def _advance_half(grid: TorusGrid, config: SPDEConfig, c: np.ndarray,
         raise CFLError(
             f"step displacement {displacement:.3g} exceeds the CFL budget "
             f"{budget:.3g} (limit {config.cfl_limit} cells)")
-    theta = _transport_phase(hg, nu, dw)[..., None, :, :]
-    a0 = -_leray(grid, _advection_half(grid, c, w))
+    mean = c[..., 0, 0]
+    theta = _transport_phase(hg, nu, dw)
+    om = hg.ik1 * c[..., 1, :, :] - hg.ik2 * c[..., 0, :, :]
+    a0 = _advection_half(grid, None, w, om[..., None, :, :])[..., 0, :, :]
     if stratonovich:
-        n0 = 1j * theta * c
-        pred = c + dt * a0 + n0
-        a1 = -_leray(grid, _advection_half(grid, pred))
-        cnew = c + 0.5 * dt * (a0 + a1) + 0.5 * (n0 + 1j * theta * pred)
+        n0 = 1j * theta * om
+        pred = om - dt * a0 + n0
+        vp = _biot_savart(grid, pred)
+        vp[..., 0, 0] = mean
+        a1 = _advection_half(grid, vp, None, pred[..., None, :, :])[..., 0, :, :]
+        onew = om - 0.5 * dt * (a0 + a1) + 0.5 * (n0 + 1j * theta * pred)
     else:
-        cnew = c + dt * (a0 - nu * hg.k_squared * c) + 1j * theta * c
-    return _leray(grid, cnew) * hg.dealias_mask
+        onew = om - dt * (a0 + nu * hg.k_squared * om) + 1j * theta * om
+    out = _biot_savart(grid, onew * hg.dealias_mask)
+    out[..., 0, 0] = mean
+    return out
+
+
+def _block_replicas(grid: TorusGrid) -> int:
+    """Replicas per block of the march: a block's velocity grid values
+    (2 n^2 float64 per replica) fill _BLOCK_BYTES, 64 replicas at 32^2."""
+    return max(1, _BLOCK_BYTES // (16 * grid.n * grid.n))
+
+
+def _march(grid: TorusGrid, config: SPDEConfig, c: np.ndarray,
+           increments: np.ndarray, stratonovich: bool) -> np.ndarray:
+    """Advance half-layout coefficients c (replicas, 2, n, h) through one
+    step per row of increments (steps, replicas, 2), one replica block at a
+    time. Replicas never interact, so the result does not depend on the
+    block size; the CFL check sees one block at a time."""
+    out = np.empty(c.shape, dtype=np.complex128)
+    size = _block_replicas(grid)
+    for s in range(0, c.shape[0], size):
+        cb = c[s:s + size]
+        for dw in increments[:, s:s + size]:
+            cb = _advance_half(grid, config, cb, dw, stratonovich)
+        out[s:s + size] = cb
+    return out
 
 
 def _advance(state: SPDEState, config: SPDEConfig, dw: np.ndarray,
              stratonovich: bool) -> SPDEState:
     """One step with explicit increments dw of shape (replicas, 2)."""
     g = state.grid
-    cnew = _to_full(g, _advance_half(g, config, _to_half(g, state.coeffs),
-                                     dw, stratonovich))
+    cnew = _to_full(g, _march(g, config, _to_half(g, state.coeffs), dw[None],
+                              stratonovich))
     return SPDEState(g, cnew, state.t + config.dt, state.step_index + 1,
                      state.brownian + dw)
 
@@ -207,7 +264,7 @@ def _advance(state: SPDEState, config: SPDEConfig, dw: np.ndarray,
 def spde_step_ito(state: SPDEState, config: SPDEConfig,
                   driver: BrownianDriver) -> SPDEState:
     """Euler-Maruyama step of the Ito form (explicit viscosity, raw noise)."""
-    _check_compat(state, config, driver)
+    _check_compat(state.grid, state.replicas, config, driver)
     dw = driver.increments(state.step_index, config.dt)
     return _advance(state, config, dw, stratonovich=False)
 
@@ -217,28 +274,27 @@ def spde_step_stratonovich(state: SPDEState, config: SPDEConfig,
     """Heun step of the Stratonovich form: predictor with the increment,
     corrector averaging drift and noise coefficients; no explicit viscous
     term - the Heun average supplies the Ito-Stratonovich correction."""
-    _check_compat(state, config, driver)
+    _check_compat(state.grid, state.replicas, config, driver)
     dw = driver.increments(state.step_index, config.dt)
     return _advance(state, config, dw, stratonovich=True)
 
 
 def spde_solve(v0, config: SPDEConfig, driver: BrownianDriver) -> SPDEState:
     """March a state (or a field, broadcast to all replicas) to t_final."""
-    state = v0 if isinstance(v0, SPDEState) else make_spde_state(v0, config.replicas)
-    _check_compat(state, config, driver)
-    strat = config.scheme == "stratonovich-heun"
-    g = state.grid
-    c = _to_half(g, state.coeffs)
-    brownian = state.brownian.copy()
-    step = state.step_index
-    t = state.t
-    for _ in range(config.steps):
-        dw = driver.increments(step, config.dt)
-        c = _advance_half(g, config, c, dw, stratonovich=strat)
+    if isinstance(v0, SPDEState):
+        g, c = v0.grid, _to_half(v0.grid, v0.coeffs)
+        step, t, brownian = v0.step_index, v0.t, v0.brownian.copy()
+    else:
+        g, c = v0.grid, _initial_half(v0, config.replicas)
+        step, t, brownian = 0, 0.0, np.zeros((config.replicas, 2))
+    _check_compat(g, c.shape[0], config, driver)
+    increments = np.stack([driver.increments(step + i, config.dt)
+                           for i in range(config.steps)])
+    c = _march(g, config, c, increments, config.scheme == "stratonovich-heun")
+    for dw in increments:
         brownian += dw
-        step += 1
         t += config.dt
-    return SPDEState(g, _to_full(g, c), t, step, brownian)
+    return SPDEState(g, _to_full(g, c), t, step + config.steps, brownian)
 
 
 def diagnostic_pressure(state: SPDEState) -> np.ndarray:
@@ -320,16 +376,14 @@ def strong_error(config: SPDEConfig, u: SpectralVectorField, dt_ladder,
     increments = np.stack([driver.increments(i, fine) for i in range(steps_fine)])
     oracle = shift_oracle(u, increments.sum(axis=0), config.nu)
     strat = config.scheme == "stratonovich-heun"
+    c0 = _initial_half(u, config.replicas)
     rows = []
     for d in ladder:
         factor = int(round(d / fine))
         nsteps = steps_fine // factor
         coarse = increments[:nsteps * factor].reshape(nsteps, factor,
                                                      config.replicas, 2).sum(axis=1)
-        cfg = replace(config, dt=d)
-        c = _to_half(config.grid, make_spde_state(u, config.replicas).coeffs)
-        for i in range(nsteps):
-            c = _advance_half(config.grid, cfg, c, coarse[i], stratonovich=strat)
+        c = _march(config.grid, replace(config, dt=d), c0, coarse, strat)
         diff = _to_full(config.grid, c) - oracle
         errors = np.sqrt(TWO_PI**2 * np.sum(np.abs(diff) ** 2, axis=(1, 2, 3)))
         rows.append(StrongErrorRow(d, float(errors.mean()), float(_replica_stderr(errors))))
@@ -355,19 +409,37 @@ class ModeStat:
     replicas: int
 
 
+class _ReplicaRows:
+    """Stands in for a driver of `count` replicas: rows start..start+count
+    of every increment the full driver draws, so a replica's noise does not
+    depend on which chunk it is marched in."""
+
+    def __init__(self, driver: BrownianDriver, start: int, count: int):
+        self.driver = driver
+        self.rows = slice(start, start + count)
+        self.replicas = count
+
+    def increments(self, step: int, dt: float) -> np.ndarray:
+        return self.driver.increments(step, dt)[self.rows]
+
+
 def ensemble_mode_means(v0: SpectralVectorField, config: SPDEConfig, seed: int,
                         modes, chunk_size: int = 1000) -> list[ModeStat]:
     """Mean of selected coefficients at t_final over config.replicas replicas.
 
-    modes are (component, k1, k2) integer triples. Replicas run in
-    independent chunks to bound memory; each chunk derives its driver seed
-    from the base seed and the chunk index by a fixed 64-bit mix, so the
-    result is a pure function of (seed, replica count, parameters). The
+    modes are (component, k1, k2) integer triples. All replicas draw from
+    one driver of config.replicas replicas keyed on seed; they are marched
+    in chunks of at most chunk_size, each chunk reading its own rows of
+    that driver, and the selected values of every replica are reduced once
+    at the end. chunk_size therefore bounds memory only: the result is a
+    pure function of (seed, replica count, parameters), bit for bit. The
     standard errors need at least two replicas.
     """
     if config.replicas < 2:
         raise ValueError(
             f"mode means need at least 2 replicas for a standard error, got {config.replicas}")
+    if chunk_size < 1:
+        raise ValueError(f"chunk_size must be positive, got {chunk_size}")
     g = v0.grid
     idx = {int(k): i for i, k in enumerate(g.k)}
     sel = []
@@ -375,34 +447,19 @@ def ensemble_mode_means(v0: SpectralVectorField, config: SPDEConfig, seed: int,
         if comp not in (0, 1) or k1 not in idx or k2 not in idx:
             raise ValueError(f"mode {(comp, k1, k2)} not representable on the grid")
         sel.append((comp, idx[k1], idx[k2]))
+    sel = np.array(sel, dtype=np.int64).reshape(-1, 3)
     total = config.replicas
-    sums = np.zeros(len(sel), dtype=complex)
-    sums_re2 = np.zeros(len(sel))
-    sums_im2 = np.zeros(len(sel))
-    done = 0
-    chunk_index = 0
-    while done < total:
-        r = min(chunk_size, total - done)
-        chunk_seed = (seed ^ ((chunk_index + 1) * 0x9E3779B97F4A7C15)) % 2**64
-        driver = BrownianDriver(seed=chunk_seed, replicas=r)
-        cfg = replace(config, replicas=r)
-        state = spde_solve(v0, cfg, driver)
-        for j, (comp, i1, i2) in enumerate(sel):
-            vals = state.coeffs[:, comp, i1, i2]
-            sums[j] += vals.sum()
-            sums_re2[j] += np.sum(vals.real**2)
-            sums_im2[j] += np.sum(vals.imag**2)
-        done += r
-        chunk_index += 1
-    out = []
-    for j, mode in enumerate(modes):
-        mean = sums[j] / total
-        var_re = max(sums_re2[j] / total - mean.real**2, 0.0) * total / (total - 1)
-        var_im = max(sums_im2[j] / total - mean.imag**2, 0.0) * total / (total - 1)
-        out.append(ModeStat(tuple(mode), complex(mean),
-                            float(np.sqrt(var_re / total)),
-                            float(np.sqrt(var_im / total)), total))
-    return out
+    driver = BrownianDriver(seed=seed, replicas=total)
+    vals = np.empty((total, len(sel)), dtype=complex)
+    for start in range(0, total, chunk_size):
+        r = min(chunk_size, total - start)
+        state = spde_solve(v0, replace(config, replicas=r), _ReplicaRows(driver, start, r))
+        vals[start:start + r] = state.coeffs[:, sel[:, 0], sel[:, 1], sel[:, 2]]
+    means = vals.mean(axis=0)
+    se_re = _replica_stderr(vals.real, axis=0)
+    se_im = _replica_stderr(vals.imag, axis=0)
+    return [ModeStat(tuple(mode), complex(means[j]), float(se_re[j]), float(se_im[j]), total)
+            for j, mode in enumerate(modes)]
 
 
 # ---------------------------------------------------------------------------

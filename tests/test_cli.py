@@ -305,6 +305,20 @@ class TestSpdeConverge:
                        "--replicas", "8", "--set", "initial_data=shear")
         assert code == 0
 
+    def test_undefined_order_is_written_as_null(self, tmp_path):
+        # with nu = 0 the errors are roundoff and no order can be fitted;
+        # the JSON report must still parse with NaN rejected
+        run_cli("--experiment", "spde-converge", "--out", tmp_path,
+                "--replicas", "2", "--set", "nu=0")
+
+        def reject(token):
+            raise ValueError(f"invalid JSON constant {token}")
+
+        text = (tmp_path / "spde-converge.json").read_text()
+        doc = json.loads(text, parse_constant=reject)
+        order = next(c for c in doc["checks"] if c["name"] == "strong-order")
+        assert order["value"] is None and not order["passed"]
+
     def test_bad_ladder(self, tmp_path):
         assert run_cli("--experiment", "spde-converge", "--out", tmp_path,
                        "--dt-ladder", "1e-3") == 2

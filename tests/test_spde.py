@@ -49,6 +49,7 @@ Oracles, all derivable by hand:
 import numpy as np
 import pytest
 
+from svns import spde
 from svns.action import (
     StaticPressure,
     TrajectoryPressure,
@@ -62,6 +63,7 @@ from svns.fields import (
     TorusGrid,
     _fft,
     _ifft,
+    conjugate_defect,
     dealias,
     evaluate_at,
     leray_project,
@@ -286,6 +288,82 @@ class TestSingleSteps:
         by_solve = spde_solve(tg, cfg, drv)
         assert np.array_equal(by_steps.coeffs, by_solve.coeffs)
         assert np.array_equal(by_steps.brownian, by_solve.brownian)
+
+
+# ---------------------------------------------------------------------------
+# the vorticity march against the velocity form, and its replica blocks
+# ---------------------------------------------------------------------------
+
+def velocity_form_step(grid, coeffs, dw, nu, dt, stratonovich):
+    """One step of the velocity equation per replica, assembled from the
+    public projection and dealiasing: every product projected, every
+    update projected and dealiased."""
+
+    def drift(c):
+        w = _ifft(c)
+        g1 = _ifft(1j * grid.k1 * c)
+        g2 = _ifft(1j * grid.k2 * c)
+        adv = vector_transform(grid, w[0] * g1 + w[1] * g2)
+        return -leray_project(dealias(adv)).coeffs
+
+    out = np.empty_like(coeffs)
+    for r, (c, d) in enumerate(zip(coeffs, dw)):
+        theta = np.sqrt(2.0 * nu) * (d[0] * grid.k1 + d[1] * grid.k2)
+        a0 = drift(c)
+        if stratonovich:
+            pred = c + dt * a0 + 1j * theta * c
+            new = (c + 0.5 * dt * (a0 + drift(pred))
+                   + 0.5 * (1j * theta * c + 1j * theta * pred))
+        else:
+            new = c + dt * (a0 - nu * grid.k_squared * c) + 1j * theta * c
+        out[r] = dealias(leray_project(SpectralVectorField(grid, new))).coeffs
+    return out
+
+
+class TestVorticityMarch:
+    @pytest.mark.parametrize("step", [spde_step_ito, spde_step_stratonovich])
+    def test_step_matches_the_velocity_form(self, grid, step):
+        v0 = random_divergence_free(grid, seed=11, kmax=6, amplitude=0.8)
+        dt = 2e-3
+        scheme = "ito" if step is spde_step_ito else "stratonovich-heun"
+        cfg = SPDEConfig(grid=grid, nu=NU, dt=dt, t_final=dt, replicas=3,
+                         scheme=scheme)
+        drv = BrownianDriver(seed=13, replicas=3)
+        st = make_spde_state(v0, 3)
+        out = step(st, cfg, drv)
+        ref = velocity_form_step(grid, st.coeffs, drv.increments(0, dt), NU, dt,
+                                 stratonovich=step is spde_step_stratonovich)
+        assert np.abs(out.coeffs - ref).max() <= 1e-13
+        for c in out.coeffs:
+            assert conjugate_defect(c) <= 1e-15
+
+    def test_mean_mode_is_carried(self, grid):
+        v0 = random_divergence_free(grid, seed=12, kmax=4, amplitude=0.5)
+        c = v0.coeffs.copy()
+        c[:, 0, 0] = [0.3, -0.1]
+        cfg = SPDEConfig(grid=grid, nu=NU, dt=1e-3, t_final=4e-3, replicas=2)
+        st = spde_solve(SpectralVectorField(grid, c), cfg,
+                        BrownianDriver(seed=14, replicas=2))
+        assert np.array_equal(st.coeffs[:, :, 0, 0], np.tile(c[:, 0, 0], (2, 1)))
+
+    @pytest.mark.parametrize("scheme", ["ito", "stratonovich-heun"])
+    def test_blocks_compose_like_single_steps(self, grid, tg, scheme, monkeypatch):
+        replicas = 2 * spde._block_replicas(grid) + 3
+        dt = 2e-3
+        cfg = SPDEConfig(grid=grid, nu=NU, dt=dt, t_final=3 * dt,
+                         replicas=replicas, scheme=scheme)
+        drv = BrownianDriver(seed=43, replicas=replicas)
+        step = spde_step_ito if scheme == "ito" else spde_step_stratonovich
+        by_steps = make_spde_state(tg, replicas)
+        for _ in range(3):
+            by_steps = step(by_steps, cfg, drv)
+        by_solve = spde_solve(tg, cfg, drv)
+        assert np.array_equal(by_steps.coeffs, by_solve.coeffs)
+        assert np.array_equal(by_steps.brownian, by_solve.brownian)
+        # one replica per block marches every replica to the same bits
+        monkeypatch.setattr(spde, "_BLOCK_BYTES", 1)
+        assert spde._block_replicas(grid) == 1
+        assert np.array_equal(spde_solve(tg, cfg, drv).coeffs, by_solve.coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -535,6 +613,24 @@ class TestMeanDecay:
         assert a[0].mean == b[0].mean
         assert a[0].stderr_re == b[0].stderr_re
         assert a[0].stderr_im == b[0].stderr_im
+
+    def test_estimate_does_not_depend_on_chunking(self, grid):
+        v0 = taylor_green(grid, amplitude=0.8)
+        cfg = SPDEConfig(grid=grid, nu=NU, dt=5e-3, t_final=0.01, replicas=40,
+                         scheme="ito")
+        stats = [ensemble_mode_means(v0, cfg, seed=9, modes=[(0, 1, 1)],
+                                     chunk_size=chunk)[0]
+                 for chunk in (40, 20, 7)]
+        for other in stats[1:]:
+            assert other.mean == stats[0].mean
+            assert other.stderr_re == stats[0].stderr_re
+            assert other.stderr_im == stats[0].stderr_im
+
+    def test_rejects_nonpositive_chunks(self, grid, shear):
+        cfg = SPDEConfig(grid=grid, nu=NU, dt=5e-3, t_final=5e-3, replicas=4,
+                         scheme="ito")
+        with pytest.raises(ValueError, match="chunk_size"):
+            ensemble_mode_means(shear, cfg, seed=1, modes=[(0, 0, 1)], chunk_size=0)
 
 
 # ---------------------------------------------------------------------------
