@@ -24,6 +24,7 @@ fixed blocks of points.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -637,63 +638,80 @@ def evaluate_at(field, points: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# snapshot format: one row per mode, bit-exact text round trip
+# checkpoint text codec: `# key = value` header, then rows; %.17g is bit-exact
 # ---------------------------------------------------------------------------
 
-def save_field_snapshot(field, path) -> None:
-    """Write coefficients as text rows (k1, k2, component, Re, Im).
-
-    The header records the grid size and component count; %.17g formatting
-    makes the round trip bit-exact for float64.
-    """
-    if isinstance(field, SpectralField):
-        stack = field.coeffs[None]
-    elif isinstance(field, SpectralVectorField):
-        stack = field.coeffs
-    else:
-        raise TypeError(f"cannot snapshot object of type {type(field).__name__}")
-    n = field.grid.n
-    ncomp = stack.shape[0]
+def _write_checkpoint(path, title: str, header: dict, blocks) -> None:
+    """Write `# title`, `# key = value` per header entry, then per (caption,
+    row format, table) block `# caption` and its rows, formatted by one `%`."""
+    out = [f"# {title}\n"] + [f"# {key} = {val}\n" for key, val in header.items()]
+    for caption, fmt, table in blocks:
+        out.append(f"# {caption}\n")
+        out.append((fmt + "\n") * len(table) % tuple(table.ravel().tolist()))
     with open(path, "w") as fh:
-        fh.write("# spectral field snapshot\n")
-        fh.write(f"# n = {n}\n")
-        fh.write(f"# components = {ncomp}\n")
-        fh.write("# k1 k2 component re im\n")
-        for c in range(ncomp):
-            for i in range(n):
-                for j in range(n):
-                    z = stack[c, i, j]
-                    fh.write(
-                        f"{field.grid.k[i]} {field.grid.k[j]} {c} "
-                        f"{z.real:.17g} {z.imag:.17g}\n"
-                    )
+        fh.write("".join(out))
+
+
+def _read_checkpoint(path, keys, *tags):
+    """Read the header (str values, `keys` required) and one float table of the
+    untagged rows, then one per tag of the rows that begin with that tag."""
+    with open(path) as fh:
+        text = "\n" + fh.read()  # a literal "\n" anchor is far faster to search than ^
+    header = dict(re.findall(r"\n# *(\S+) *= *([^\n]*)", text))
+    for key in keys:
+        if key not in header:
+            raise ValueError(f"checkpoint {path} is missing header entry {key!r}")
+    rows = [re.findall(rf"\n{tag}([-+.\d][^\n]*)", text) for tag in ("",) + tags]
+    try:
+        return header, *(np.loadtxt(r, ndmin=2) if r else np.empty((0, 0)) for r in rows)
+    except ValueError as exc:
+        raise ValueError(f"checkpoint {path} has a malformed row: {exc}") from None
+
+
+def _scatter_rows(path, table: np.ndarray, extents, width: int) -> np.ndarray:
+    """Place rows (index..., value...) in a (high_i - low_i, ...) + (width,) array.
+
+    Index column i holds integers in [low_i, high_i) from `extents`, each
+    combination exactly once; index mod (high_i - low_i) is the slot, so
+    wavenumbers land in FFT order. An empty block may come as a (0, 0) table.
+    """
+    low, high = np.array(extents).T
+    dims = tuple(int(d) for d in high - low)
+    size, ncols = int(np.prod(dims)), len(dims) + width
+    if len(table) != size or (size and table.shape[1] != ncols):
+        raise ValueError(f"checkpoint {path} holds {len(table)} rows of {table.shape[1]} "
+                         f"values where its header gives {size} of {ncols}")
+    idx = table[:, :len(dims)].reshape(size, len(dims))
+    if not np.all((idx >= low) & (idx < high) & (idx == np.trunc(idx))):
+        raise ValueError(f"checkpoint {path} has an index outside its header's range")
+    flat = np.ravel_multi_index((idx.astype(np.int64) % (high - low)).T, dims)
+    if np.bincount(flat, minlength=size).max(initial=0) > 1:
+        raise ValueError(f"checkpoint {path} repeats an index")
+    out = np.empty((size, width))
+    out[flat] = table[:, len(dims):].reshape(size, width)
+    return out.reshape(dims + (width,))
+
+
+def save_field_snapshot(field, path) -> None:
+    """Write coefficients as text rows (k1, k2, component, Re, Im) under a
+    header with the grid size and component count."""
+    if not isinstance(field, (SpectralField, SpectralVectorField)):
+        raise TypeError(f"cannot snapshot object of type {type(field).__name__}")
+    n, k = field.grid.n, field.grid.k
+    stack = field.coeffs.reshape(-1, n, n)
+    c, i, j = np.indices(stack.shape).reshape(3, -1)
+    table = np.column_stack([k[i], k[j], c, stack.real.ravel(), stack.imag.ravel()])
+    _write_checkpoint(path, "spectral field snapshot", {"n": n, "components": stack.shape[0]},
+                      [("k1 k2 component re im", "%d %d %d %.17g %.17g", table)])
 
 
 def load_field_snapshot(path):
     """Read a snapshot written by save_field_snapshot."""
-    n = None
-    ncomp = None
-    rows = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                if "n =" in line:
-                    n = int(line.split("=")[1])
-                elif "components =" in line:
-                    ncomp = int(line.split("=")[1])
-                continue
-            k1, k2, c, re, im = line.split()
-            rows.append((int(k1), int(k2), int(c), float(re), float(im)))
-    if n is None or ncomp is None:
-        raise ValueError(f"snapshot {path} is missing its header")
-    grid = TorusGrid(n)
-    index = {int(k): i for i, k in enumerate(grid.k)}
-    stack = np.zeros((ncomp, n, n), dtype=np.complex128)
-    for k1, k2, c, re, im in rows:
-        stack[c, index[k1], index[k2]] = complex(re, im)
+    header, table = _read_checkpoint(path, ("n", "components"))
+    grid, ncomp = TorusGrid(int(header["n"])), int(header["components"])
+    vals = _scatter_rows(path, table, [(-grid.n // 2, grid.n // 2)] * 2 + [(0, ncomp)], 2)
+    # view each (re, im) pair as one complex: re + 1j * im would turn -0.0 into +0.0
+    stack = np.ascontiguousarray(vals.view(np.complex128)[..., 0].transpose(2, 0, 1))
     if ncomp == 1:
         return SpectralField(grid, stack[0])
     return SpectralVectorField(grid, stack)

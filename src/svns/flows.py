@@ -21,7 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtri
 
-from .fields import TWO_PI, PhaseTable, PointEvaluator, SpectralField, TorusGrid, mean_value
+from .fields import (TWO_PI, PhaseTable, PointEvaluator, SpectralField, TorusGrid,
+                     _read_checkpoint, _scatter_rows, _write_checkpoint, mean_value)
 from .solver import DriftField
 
 __all__ = [
@@ -118,6 +119,8 @@ def make_flow_ensemble(grid: TorusGrid, replicas: int, stride: int = 1,
     Initial points default to the grid lattice subsampled by `stride`
     (a uniform lattice again, so lattice quadrature stays spectral).
     """
+    if stride < 1:
+        raise ValueError(f"stride must be at least 1, got {stride}")
     if initial_points is None:
         if grid.n % stride != 0:
             raise ValueError(f"stride {stride} does not divide grid size {grid.n}")
@@ -429,66 +432,31 @@ def generalized_derivative(observable, ens: FlowEnsemble, drift: DriftField,
 def save_ensemble(ens: FlowEnsemble, path, seed: int = 0) -> None:
     """Text checkpoint: header (t, step, replicas, points, seed), label block,
     then one row per (point, replica) with position and Jacobian entries."""
-    with open(path, "w") as fh:
-        fh.write("# flow ensemble checkpoint\n")
-        fh.write(f"# n = {ens.grid.n}\n")
-        fh.write(f"# t = {ens.t:.17g}\n")
-        fh.write(f"# step = {ens.step_index}\n")
-        fh.write(f"# replicas = {ens.replicas}\n")
-        fh.write(f"# points = {ens.npoints}\n")
-        fh.write(f"# seed = {seed}\n")
-        fh.write(f"# jacobians = {int(ens.jacobians is not None)}\n")
-        fh.write("# label rows: index x1 x2\n")
-        for p in range(ens.npoints):
-            fh.write(f"L {p} {ens.initial_points[p, 0]:.17g} {ens.initial_points[p, 1]:.17g}\n")
-        fh.write("# data rows: index replica g1 g2 J00 J01 J10 J11\n")
-        for p in range(ens.npoints):
-            for r in range(ens.replicas):
-                row = [f"{p}", f"{r}",
-                       f"{ens.positions[r, p, 0]:.17g}", f"{ens.positions[r, p, 1]:.17g}"]
-                if ens.jacobians is not None:
-                    j = ens.jacobians[r, p]
-                    row += [f"{j[0, 0]:.17g}", f"{j[0, 1]:.17g}",
-                            f"{j[1, 0]:.17g}", f"{j[1, 1]:.17g}"]
-                fh.write(" ".join(row) + "\n")
+    header = {"n": ens.grid.n, "t": f"{ens.t:.17g}", "step": ens.step_index,
+              "replicas": ens.replicas, "points": ens.npoints, "seed": seed,
+              "jacobians": int(ens.jacobians is not None)}
+    labels = np.column_stack([np.arange(ens.npoints), ens.initial_points])
+    vals = ens.positions if ens.jacobians is None else np.concatenate(
+        [ens.positions, ens.jacobians.reshape(ens.replicas, ens.npoints, 4)], axis=2)
+    # rows run over points, then replicas
+    vals = vals.swapaxes(0, 1).reshape(-1, vals.shape[2])
+    p, r = np.indices((ens.npoints, ens.replicas)).reshape(2, -1)
+    _write_checkpoint(path, "flow ensemble checkpoint", header, [
+        ("label rows: index x1 x2", "L %d %.17g %.17g", labels),
+        ("data rows: index replica g1 g2 J00 J01 J10 J11",
+         "%d %d" + " %.17g" * vals.shape[1], np.column_stack([p, r, vals]))])
 
 
 def load_ensemble(path) -> tuple[FlowEnsemble, int]:
     """Read a checkpoint written by save_ensemble; returns (ensemble, seed)."""
-    meta: dict[str, float] = {}
-    labels: list[tuple[int, float, float]] = []
-    data: list[list[float]] = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                if "=" in line:
-                    key, val = line[1:].split("=", 1)
-                    meta[key.strip()] = float(val)
-                continue
-            if line.startswith("L "):
-                _, idx, a, b = line.split()
-                labels.append((int(idx), float(a), float(b)))
-                continue
-            data.append([float(tok) for tok in line.split()])
-    for key in ("n", "t", "step", "replicas", "points", "seed", "jacobians"):
-        if key not in meta:
-            raise ValueError(f"checkpoint {path} is missing header entry '{key}'")
-    n = int(meta["n"])
-    nrep = int(meta["replicas"])
-    npts = int(meta["points"])
+    keys = ("n", "t", "step", "replicas", "points", "seed", "jacobians")
+    header, data, labels = _read_checkpoint(path, keys, "L ")
+    meta = {key: float(header[key]) for key in keys}
+    nrep, npts = int(meta["replicas"]), int(meta["points"])
     has_jac = bool(int(meta["jacobians"]))
-    pts = np.zeros((npts, 2))
-    for idx, a, b in labels:
-        pts[idx] = (a, b)
-    pos = np.zeros((nrep, npts, 2))
-    jac = np.zeros((nrep, npts, 2, 2)) if has_jac else None
-    for row in data:
-        p, r = int(row[0]), int(row[1])
-        pos[r, p] = row[2:4]
-        if has_jac:
-            jac[r, p] = np.array(row[4:8]).reshape(2, 2)
-    ens = FlowEnsemble(TorusGrid(n), pts, pos, jac, meta["t"], int(meta["step"]))
+    pts = _scatter_rows(path, labels, [(0, npts)], 2)
+    vals = _scatter_rows(path, data, [(0, npts), (0, nrep)], 6 if has_jac else 2).swapaxes(0, 1)
+    pos = np.ascontiguousarray(vals[..., :2])
+    jac = np.ascontiguousarray(vals[..., 2:]).reshape(nrep, npts, 2, 2) if has_jac else None
+    ens = FlowEnsemble(TorusGrid(int(meta["n"])), pts, pos, jac, meta["t"], int(meta["step"]))
     return ens, int(meta["seed"])

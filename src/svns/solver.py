@@ -17,6 +17,7 @@ nodal derivatives, never finite differences.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,9 +32,12 @@ from .fields import (
     _ifft,
     _leray,
     _pressure,
+    _read_checkpoint,
+    _scatter_rows,
     _to_full,
     _to_half,
     _values_half,
+    _write_checkpoint,
     enforce_conjugate_symmetry,
     load_field_snapshot,
     save_field_snapshot,
@@ -515,59 +519,29 @@ class ForcedDrift(DriftField):
 
 def save_trajectory(traj: NSTrajectory, directory, stride: int = 1) -> None:
     """Write every stride-th node as field snapshots plus an index file."""
-    import os
-
+    if stride < 1:
+        raise ValueError(f"stride must be at least 1, got {stride}")
     os.makedirs(directory, exist_ok=True)
-    idx = list(range(0, len(traj.times), stride))
-    if idx[-1] != len(traj.times) - 1:
-        idx.append(len(traj.times) - 1)
-    with open(os.path.join(directory, "index.txt"), "w") as fh:
-        fh.write("# trajectory checkpoint index\n")
-        fh.write(f"# n = {traj.grid.n}\n")
-        fh.write(f"# nu = {traj.nu:.17g}\n")
-        fh.write(f"# dt = {traj.dt:.17g}\n")
-        fh.write("# row: slot time\n")
-        for slot, i in enumerate(idx):
-            fh.write(f"{slot} {traj.times[i]:.17g}\n")
-    g = traj.grid
+    # keeps the last node even off the stride: uneven spacing, a known limitation
+    idx = np.union1d(np.arange(0, len(traj.times), stride), [len(traj.times) - 1])
+    _write_checkpoint(os.path.join(directory, "index.txt"), "trajectory checkpoint index",
+                      {"n": traj.grid.n, "nu": f"{traj.nu:.17g}", "dt": f"{traj.dt:.17g}"},
+                      [("row: slot time", "%d %.17g",
+                        np.column_stack([np.arange(len(idx)), traj.times[idx]]))])
     for slot, i in enumerate(idx):
-        save_field_snapshot(SpectralVectorField(g, traj.velocity_coeffs[i]),
-                            os.path.join(directory, f"velocity_{slot:05d}.txt"))
-        save_field_snapshot(SpectralField(g, traj.pressure_coeffs[i]),
-                            os.path.join(directory, f"pressure_{slot:05d}.txt"))
-        save_field_snapshot(SpectralVectorField(g, traj.rhs_coeffs[i]),
-                            os.path.join(directory, f"tendency_{slot:05d}.txt"))
+        for kind, snap in (("velocity", traj.velocity(i)), ("pressure", traj.pressure(i)),
+                           ("tendency", SpectralVectorField(traj.grid, traj.rhs_coeffs[i]))):
+            save_field_snapshot(snap, os.path.join(directory, f"{kind}_{slot:05d}.txt"))
 
 
 def load_trajectory(directory) -> NSTrajectory:
     """Read a checkpoint written by save_trajectory."""
-    import os
-
-    nu = None
-    rows = []
-    with open(os.path.join(directory, "index.txt")) as fh:
-        for line in fh:
-            line = line.strip()
-            if line.startswith("#"):
-                if "nu =" in line:
-                    nu = float(line.split("=")[1])
-                continue
-            if line:
-                slot, t = line.split()
-                rows.append((int(slot), float(t)))
-    if nu is None or not rows:
-        raise ValueError(f"checkpoint index in {directory} is incomplete")
-    rows.sort()
-    vel, prs, rhs, times = [], [], [], []
-    grid = None
-    for slot, t in rows:
-        v = load_field_snapshot(os.path.join(directory, f"velocity_{slot:05d}.txt"))
-        p = load_field_snapshot(os.path.join(directory, f"pressure_{slot:05d}.txt"))
-        r = load_field_snapshot(os.path.join(directory, f"tendency_{slot:05d}.txt"))
-        grid = v.grid
-        times.append(t)
-        vel.append(v.coeffs)
-        prs.append(p.coeffs)
-        rhs.append(r.coeffs)
-    return NSTrajectory(grid, nu, np.array(times), np.array(vel), np.array(prs),
-                        np.array(rhs))
+    path = os.path.join(directory, "index.txt")
+    header, table = _read_checkpoint(path, ("nu",))
+    if not len(table):
+        raise ValueError(f"checkpoint index {path} lists no nodes")
+    times = _scatter_rows(path, table, [(0, len(table))], 1)[:, 0]
+    paths = [[os.path.join(directory, f"{kind}_{slot:05d}.txt") for slot in range(len(times))]
+             for kind in ("velocity", "pressure", "tendency")]
+    stacks = [np.array([load_field_snapshot(p).coeffs for p in ps]) for ps in paths]
+    return NSTrajectory(TorusGrid(stacks[0].shape[-1]), float(header["nu"]), times, *stacks)

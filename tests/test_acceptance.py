@@ -353,13 +353,15 @@ def test_deterministic_reports(tmp_path):
     assert main(args) == code
     runs.append((out / "criticality.csv").read_bytes())
     docs.append(json.loads((out / "criticality.json").read_text()))
+    root = Path(__file__).resolve().parents[1]
     for threads in ("1", "4"):
         env = dict(os.environ)
         env.update(OMP_NUM_THREADS=threads, OPENBLAS_NUM_THREADS=threads,
-                   MKL_NUM_THREADS=threads)
+                   MKL_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(
+                       filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])))
         proc = subprocess.run(
             [sys.executable, "-m", "svns.cli", *args],
-            env=env, cwd=str(Path(__file__).resolve().parents[1]),
+            env=env, cwd=str(root),
             capture_output=True, text=True)
         assert proc.returncode == code, proc.stderr
         runs.append((out / "criticality.csv").read_bytes())

@@ -9,8 +9,10 @@ configuration and seed.
 """
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -123,7 +125,11 @@ class TestConfig:
         assert "error:" in err
 
     def test_module_is_runnable(self):
+        # the child finds svns in the checkout's src/ whether or not it is installed
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run([sys.executable, "-m", "svns.cli"],
+                              env=dict(os.environ, PYTHONPATH=path),
                               capture_output=True, text=True)
         assert proc.returncode == 2
         assert "no experiment selected" in proc.stderr
@@ -208,6 +214,14 @@ class TestNoether:
         assert names == ["symmetry-residual", "momentum-drift-rate",
                          "invariance-defect", "charge-drift[t=0.05]"]
         assert doc["passed"] is True
+
+    def test_stride_below_one_is_a_config_error(self, tmp_path, capsys):
+        for stride in ("0", "-2"):
+            code = run_cli("--experiment", "noether", "--out", tmp_path, "--replicas", "2",
+                           "--set", "t_final=0.01", "--set", "probe_times=0.01",
+                           "--set", f"stride={stride}")
+            assert code == 2
+            assert "stride" in capsys.readouterr().err
 
     def test_single_replica_report_is_valid_json(self, tmp_path):
         run_cli("--experiment", "noether", "--out", tmp_path,

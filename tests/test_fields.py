@@ -438,6 +438,46 @@ class TestSnapshotIO:
         with pytest.raises(ValueError, match="header"):
             F.load_field_snapshot(path)
 
+    @staticmethod
+    def _edited(tmp_path, ncomp, edit):
+        """A 16^2 snapshot whose body rows, as token lists, pass through edit."""
+        g = F.TorusGrid(16)
+        f = random_field(g, seed=4)
+        field = f if ncomp == 1 else F.SpectralVectorField(g, np.stack([f.coeffs] * 2))
+        path = tmp_path / "snap.txt"
+        F.save_field_snapshot(field, path)
+        lines = path.read_text().splitlines()
+        rows = edit([line.split() for line in lines[4:]])
+        path.write_text("\n".join(lines[:4] + [" ".join(r) for r in rows]) + "\n")
+        return path
+
+    @pytest.mark.parametrize("k", ["8", "9", "-9", "16", "0.5"])
+    def test_off_grid_wavenumber_rejected(self, tmp_path, k):
+        """k = 8 would alias k = -8 under a bare mod-16 mapping."""
+        path = self._edited(tmp_path, 1, lambda rows: [[k] + rows[0][1:]] + rows[1:])
+        with pytest.raises(ValueError, match="snap.txt.*index outside"):
+            F.load_field_snapshot(path)
+
+    @pytest.mark.parametrize("ncomp, c", [(1, "1"), (2, "2"), (2, "-1")])
+    def test_component_out_of_range_rejected(self, tmp_path, ncomp, c):
+        path = self._edited(tmp_path, ncomp,
+                            lambda rows: rows[:-1] + [rows[-1][:2] + [c] + rows[-1][3:]])
+        with pytest.raises(ValueError, match="snap.txt.*index outside"):
+            F.load_field_snapshot(path)
+
+    def test_missing_or_repeated_rows_rejected(self, tmp_path):
+        path = self._edited(tmp_path, 2, lambda rows: rows[:-3])
+        with pytest.raises(ValueError, match="snap.txt.* 509 rows"):
+            F.load_field_snapshot(path)
+        path = self._edited(tmp_path, 2, lambda rows: rows[:-1] + rows[:1])
+        with pytest.raises(ValueError, match="snap.txt.*repeats"):
+            F.load_field_snapshot(path)
+
+    def test_malformed_row_names_the_file(self, tmp_path):
+        path = self._edited(tmp_path, 1, lambda rows: rows[:-1] + [["7", "7", "0", "1.0", "x"]])
+        with pytest.raises(ValueError, match="snap.txt.*malformed"):
+            F.load_field_snapshot(path)
+
 
 class TestNorms:
     def test_l2_norm_of_sine(self):

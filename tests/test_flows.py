@@ -184,6 +184,12 @@ class TestFlowStep:
         with pytest.raises(ValueError):
             flow_step(ens, zero_drift(), 0.0, 1e-2, BrownianDriver(seed=1, replicas=4))
 
+    @pytest.mark.parametrize("stride", [0, -1, -8])
+    def test_stride_below_one_rejected(self, stride):
+        """No ZeroDivisionError, and no silently reversed lattice."""
+        with pytest.raises(ValueError, match="stride"):
+            make_flow_ensemble(GRID, replicas=1, stride=stride)
+
 
 class TestCompressibleFlow:
     """One-dimensional compressible drift with closed-form flow and Jacobian."""
@@ -543,4 +549,39 @@ class TestEnsembleCheckpoint:
         path = tmp_path / "bad.txt"
         path.write_text("# n = 32\n# t = 0\n")
         with pytest.raises(ValueError):
+            load_ensemble(path)
+
+    def _saved(self, tmp_path, **kw):
+        ens = make_flow_ensemble(GRID, replicas=2, stride=8, **kw)
+        path = tmp_path / "ensemble.txt"
+        save_ensemble(ens, path, seed=3)
+        return path, path.read_text().splitlines()
+
+    def test_truncated_file_rejected(self, tmp_path):
+        """A file cut short must not load with zeros in the missing slots."""
+        path, lines = self._saved(tmp_path)
+        path.write_text("\n".join(lines[:-5]) + "\n")
+        with pytest.raises(ValueError, match="ensemble.txt.* 27 rows"):
+            load_ensemble(path)
+
+    @pytest.mark.parametrize("column, value", [(0, "16"), (1, "2"), (1, "-1"), (0, "0.5")])
+    def test_index_out_of_range_rejected(self, tmp_path, column, value):
+        path, lines = self._saved(tmp_path, jacobians=False)
+        row = lines[-1].split()
+        row[column] = value
+        path.write_text("\n".join(lines[:-1] + [" ".join(row)]) + "\n")
+        with pytest.raises(ValueError, match="ensemble.txt.*index outside"):
+            load_ensemble(path)
+
+    def test_repeated_row_rejected(self, tmp_path):
+        path, lines = self._saved(tmp_path)
+        path.write_text("\n".join(lines[:-1] + lines[-2:-1]) + "\n")
+        with pytest.raises(ValueError, match="ensemble.txt.*repeats"):
+            load_ensemble(path)
+
+    def test_missing_label_row_rejected(self, tmp_path):
+        path, lines = self._saved(tmp_path)
+        assert lines[24].startswith("L 15 ")
+        path.write_text("\n".join(lines[:24] + lines[25:]) + "\n")
+        with pytest.raises(ValueError, match="ensemble.txt.* 15 rows"):
             load_ensemble(path)

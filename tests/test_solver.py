@@ -263,6 +263,23 @@ class TestTrajectoryCheckpoint:
         with pytest.raises((ValueError, FileNotFoundError)):
             S.load_trajectory(tmp_path / "empty")
 
+    @pytest.mark.parametrize("stride", [0, -1])
+    def test_stride_below_one_rejected_before_writing(self, tmp_path, stride):
+        traj = tg_trajectory(nu=0.1, dt=0.01, t_final=0.03, n=8)
+        with pytest.raises(ValueError, match="stride"):
+            S.save_trajectory(traj, tmp_path / "ckpt", stride=stride)
+        assert not (tmp_path / "ckpt").exists()
+
+    @pytest.mark.parametrize("slots", [["0", "1", "1"], ["0", "1", "3"], []])
+    def test_bad_index_slots_rejected(self, tmp_path, slots):
+        traj = tg_trajectory(nu=0.1, dt=0.01, t_final=0.02, n=8)
+        S.save_trajectory(traj, tmp_path / "ckpt")
+        index = tmp_path / "ckpt" / "index.txt"
+        head = index.read_text().splitlines()[:5]
+        index.write_text("\n".join(head + [f"{s} 0.01" for s in slots]) + "\n")
+        with pytest.raises(ValueError, match="index.txt"):
+            S.load_trajectory(tmp_path / "ckpt")
+
 
 if __name__ == "__main__":
     pytest.main([__file__, "-v"])
