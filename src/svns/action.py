@@ -31,6 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import (
+    TWO_PI,
     PointEvaluator,
     SpectralField,
     TorusGrid,
@@ -45,7 +46,6 @@ from .flows import (
     FlowEnsemble,
     FlowObserver,
     _lattice_quadrature,
-    _material_rows,
     _replica_stderr,
     det_jacobian,
     make_flow_ensemble,
@@ -306,6 +306,44 @@ class ActionBreakdown:
         return self.s1 + self.s2
 
 
+def _direction_sums(W, psi, mixed, v, nu, pstack, det, dm1):
+    """Point-axis contractions of the vector directions at a block of replicas.
+
+    W is the (component, derivative row, direction, replica, point) view of
+    the direction rows, psi the phi rows, mixed the (direction, phi row)
+    pairs of mixed directions, v the (2, replica, point) drift and pstack
+    the pressure with its first and second derivatives. Returns the
+    (9, direction, replica) sums <w.v>, <L.v>, <w.w>, <w.L>, <L.L>, then the
+    c1..c4 sums without their envelope powers, and the largest |T| and |Dt|
+    of each direction.
+    """
+    w = W[:, 0]
+    L = np.einsum("ckdrp,krp->cdrp", W[:, 1:], np.stack([v[0], v[1], np.full_like(v[0], nu)]))
+    T = W[0, 1] + W[1, 2]
+    Dt = W[0, 1] * W[1, 2] - W[0, 2] * W[1, 1]
+    p, p1, p2, p11, p12, p22 = pstack
+    pdet = p * det
+    G = np.einsum("cdrp,crp->drp", w, np.stack([p1, p2]))
+    Gm = np.einsum("cdrp,edrp,cerp->drp", w, w, 0.5 * np.stack([[p11, p12], [p12, p22]]))
+    sums = np.empty((9,) + T.shape[:2])
+    sums[0] = np.einsum("cdrp,crp->dr", w, v)
+    sums[1] = np.einsum("cdrp,crp->dr", L, v)
+    sums[2] = np.einsum("cdrp,cdrp->dr", w, w)
+    sums[3] = np.einsum("cdrp,cdrp->dr", w, L)
+    sums[4] = np.einsum("cdrp,cdrp->dr", L, L)
+    sums[5] = np.einsum("drp,rp->dr", G, dm1) + np.einsum("drp,rp->dr", T, pdet)
+    if mixed.size:
+        G[mixed[0]] += psi[mixed[1]]  # the phi part of c1 is summed with the phi rows
+    sums[6] = (np.einsum("drp,rp->dr", Gm, dm1) + np.einsum("drp,drp,rp->dr", G, T, det)
+               + np.einsum("drp,rp->dr", Dt, pdet))
+    sums[7] = np.einsum("drp,drp,rp->dr", Gm, T, det) + np.einsum("drp,drp,rp->dr", G, Dt, det)
+    sums[8] = np.einsum("drp,drp,rp->dr", Gm, Dt, det)
+    # max |x| as max(max x, -min x): no |x| temporary, the same bits
+    tr_max = np.maximum(T.max(axis=(1, 2)), -T.min(axis=(1, 2)))
+    det_max = np.maximum(Dt.max(axis=(1, 2)), -Dt.min(axis=(1, 2)))
+    return sums, tr_max, det_max
+
+
 class _ActionObserver(FlowObserver):
     """Accumulates, per replica, the eps-polynomial coefficients of S.
 
@@ -313,7 +351,41 @@ class _ActionObserver(FlowObserver):
     constraint: S2(eps) = b0 + eps c1 + eps^2 c2 + eps^3 c3 + eps^4 c4.
     The eps-independent accumulators are shared by every perturbation, which
     is what makes eps = 0 bitwise identical to the unperturbed evaluation.
+
+    Every direction field is evaluated by one union evaluator, so a node
+    costs a single phase contraction for all of them. Its rows are row j of
+    the derivative stack (w1, d1 w1, d2 w1, Lap w1, w2, d1 w2, d2 w2,
+    Lap w2) of every vector direction, j-major, then the phi row psi of
+    every multiplier direction; the vector rows are then the view W[c, k, d]
+    of component c, derivative row k and direction d. With a(t) the envelope
+    of a direction, h = a w, dm1 = det grad g - 1 and p1, p2, p11, p12, p22
+    the pressure derivatives, every coefficient is a sum over the points of
+    each replica, <...>, times a power of a applied to the summed values:
+
+        L_t h = a' w + a L,   L = (v . grad) w + nu Lap w
+        k1 = a' <w . v> + a <L . v>
+        k2 = a'^2 <w . w> + 2 a' a <w . L> + a^2 <L . L>
+        tr H = a T,   T = d1 w1 + d2 w2;   det H = a^2 Dt,   Dt = det grad w
+        p along g + eps h = p + eps a G + eps^2 a^2 Gm,
+            G = p1 w1 + p2 w2 + psi,  Gm = (p11 w1^2 + 2 p12 w1 w2 + p22 w2^2) / 2
+        c1 = a (<G dm1> + <T p det>)
+        c2 = a^2 (<Gm dm1> + <G T det> + <Dt p det>)
+        c3 = a^3 (<Gm T det> + <G Dt det>)
+        c4 = a^4 <Gm Dt det>
+
+    The sums are einsums over the point axis: "drp,rp->dr" against per-node
+    weights (v, dm1, p det) and "drp,drp,rp->dr" for the higher-order
+    products. L, T, Dt, G and Gm are the only arrays of direction-point
+    size, built per block of replicas (_direction_sums) to keep them small;
+    each sum runs over the points of one replica, so the block size does
+    not change a bit. psi enters c1 through its own sum (phi-only
+    directions have no other terms).
     """
+
+    # points per block of replicas in the direction sums (at least one
+    # replica): bounds a block's temporaries to a few MB; of 1024 to 16384
+    # points per block, 4096 and 8192 ran fastest at 16 x 1024 points
+    _BLOCK_POINTS = 8192
 
     def __init__(self, grid: TorusGrid, pressure, perts: tuple[PerturbationField, ...],
                  replicas: int, nu: float):
@@ -330,25 +402,15 @@ class _ActionObserver(FlowObserver):
         self.htr_max = np.zeros(npert)
         self.hdet_max = np.zeros(npert)
         self.det_defect_max = 0.0
-        # all direction fields share one evaluator so a node costs a single
-        # phase contraction for every registered perturbation at once
-        rows: list[np.ndarray] = []
-        w_ids, w_rows, phi_ids, phi_rows = [], [], [], []
-        for i, pert in enumerate(perts):
-            if pert._w_eval is not None:
-                w_ids.append(i)
-                w_rows.append(len(rows))
-                rows.extend(pert._w_stack)
-            if pert._phi_eval is not None:
-                phi_ids.append(i)
-                phi_rows.append(len(rows))
-                rows.append(pert._phi_stack[0])
+        w_ids = [i for i, p in enumerate(perts) if p._w_stack is not None]
+        phi_ids = [i for i, p in enumerate(perts) if p._phi_stack is not None]
+        rows = ([perts[i]._w_stack[j] for j in range(8) for i in w_ids]
+                + [perts[i]._phi_stack[0] for i in phi_ids])
         self._union_eval = PointEvaluator(grid, np.stack(rows)) if rows else None
         self._w_ids = np.asarray(w_ids, dtype=int)
-        self._w_rows = np.asarray(w_rows, dtype=int)
         self._phi_ids = np.asarray(phi_ids, dtype=int)
-        self._phi_rows = np.asarray(phi_rows, dtype=int)
-        self._npert = npert
+        self._mixed = np.array([(w_ids.index(i), f) for f, i in enumerate(phi_ids)
+                                if i in w_ids], dtype=int).reshape(-1, 2).T
 
     def accumulate(self, node, t, ens, drift_values, drift_grads, weight):
         table = self.node_table(ens)
@@ -365,46 +427,43 @@ class _ActionObserver(FlowObserver):
         det = det_jacobian(ens)
         dm1 = det - 1.0
         self.det_defect_max = max(self.det_defect_max, float(np.max(np.abs(dm1))))
-        v = drift_values
-        vx = v[..., 0]
-        vy = v[..., 1]
-        self.k0 += weight * _lattice_quadrature(vx ** 2 + vy ** 2)
+        v = np.moveaxis(drift_values, -1, 0).copy()
+        self.k0 += weight * _lattice_quadrature(v[0] ** 2 + v[1] ** 2)
         self.b0 += weight * _lattice_quadrature(p_pts * dm1)
         if self._union_eval is None:
             return
         allp = table.evaluate(self._union_eval)
+        replicas, npts = dm1.shape
+        q = weight * TWO_PI**2 / npts
         aval = np.array([p.envelope.value(t) for p in self.perts])
-        dval = np.array([p.envelope.derivative(t) for p in self.perts])
-        g1 = np.zeros((self._npert,) + p_pts.shape)
-        if wi.size:
-            _, p1, p2, p11, p12, p22 = pstack
-            # W[j] is derivative-stack row j of every vector direction:
-            # w1 d1w1 d2w1 Lap w1 w2 d1w2 d2w2 Lap w2
-            W = allp[np.arange(8)[:, None] + self._w_rows]
-            a = aval[wi][:, None, None]
-            lh1, lh2 = _material_rows(W, v, self.nu, a, dval[wi][:, None, None])
-            self.k1[wi] += weight * _lattice_quadrature(vx * lh1 + vy * lh2)
-            self.k2[wi] += weight * _lattice_quadrature(lh1 ** 2 + lh2 ** 2)
-            trh = a * (W[1] + W[6])
-            deth = a * a * (W[1] * W[6] - W[2] * W[5])
-            self.htr_max[wi] = np.maximum(self.htr_max[wi], np.abs(trh).max(axis=(1, 2)))
-            self.hdet_max[wi] = np.maximum(self.hdet_max[wi], np.abs(deth).max(axis=(1, 2)))
-            h1 = a * W[0]
-            h2 = a * W[4]
-            g1[wi] = p1 * h1 + p2 * h2
-            g2 = 0.5 * (p11 * h1 * h1 + 2.0 * p12 * h1 * h2 + p22 * h2 * h2)
-        if self._phi_ids.size:
-            g1[self._phi_ids] += aval[self._phi_ids][:, None, None] * allp[self._phi_rows]
-        # S2 integrand: (p + eps g1 + eps^2 g2)(det J (1 + eps trH + eps^2 detH) - 1)
-        self.c[:, 0] += weight * _lattice_quadrature(g1 * dm1)
-        if wi.size:
-            ddtr = det * trh
-            dddet = det * deth
-            self.c[wi, 0] += weight * _lattice_quadrature(p_pts * ddtr)
-            self.c[wi, 1] += weight * _lattice_quadrature(
-                g2 * dm1 + g1[wi] * ddtr + p_pts * dddet)
-            self.c[wi, 2] += weight * _lattice_quadrature(g2 * ddtr + g1[wi] * dddet)
-            self.c[wi, 3] += weight * _lattice_quadrature(g2 * dddet)
+        nw = wi.size
+        psi = allp[8 * nw:]
+        if psi.size:
+            fi = self._phi_ids
+            self.c[fi, 0] += q * aval[fi, None] * np.einsum("frp,rp->fr", psi, dm1)
+        if not nw:
+            return
+        W = allp[:8 * nw].reshape((2, 4, nw) + dm1.shape)
+        sums = np.empty((9, nw, replicas))
+        tr_max = np.zeros(nw)
+        det_max = np.zeros(nw)
+        step = max(1, self._BLOCK_POINTS // npts)
+        for s in range(0, replicas, step):
+            b = slice(s, s + step)
+            sums[:, :, b], tmx, dmx = _direction_sums(
+                W[..., b, :], psi[:, b], self._mixed, v[:, b], self.nu, pstack[:, b],
+                det[b], dm1[b])
+            tr_max = np.maximum(tr_max, tmx)
+            det_max = np.maximum(det_max, dmx)
+        a = aval[wi, None]
+        da = np.array([self.perts[i].envelope.derivative(t) for i in wi])[:, None]
+        a2 = a * a
+        self.k1[wi] += q * (da * sums[0] + a * sums[1])
+        self.k2[wi] += q * (da * da * sums[2] + 2.0 * da * a * sums[3] + a2 * sums[4])
+        self.c[wi] += q * (np.stack([a, a2, a2 * a, a2 * a2], axis=1) * sums[5:].transpose(1, 0, 2))
+        # a >= 0, so max |a T| = a max |T| bit for bit, and likewise for a^2 Dt
+        self.htr_max[wi] = np.maximum(self.htr_max[wi], a[:, 0] * tr_max)
+        self.hdet_max[wi] = np.maximum(self.hdet_max[wi], a2[:, 0] * det_max)
 
 
 @dataclass(eq=False)

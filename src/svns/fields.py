@@ -587,10 +587,12 @@ class PhaseTable:
         key = (axis, ks)
         mat = self._matrices.get(key)
         if mat is None:
+            # ks ascend, so the k < 0 rows are a prefix: gather every |k| row
+            # into one array, then conjugate that prefix in place
             arr = np.asarray(ks)
-            mat = ladder[np.abs(arr)]
-            neg = arr < 0
-            mat[neg] = np.conj(mat[neg])
+            mat = np.take(ladder, np.abs(arr), axis=0)
+            neg = mat[:np.searchsorted(arr, 0)]
+            np.conj(neg, out=neg)
             self._matrices[key] = mat
         return mat
 

@@ -70,17 +70,33 @@ class BrownianDriver:
         self.replicas = int(replicas)
         self.dim = int(dim)
 
-    def unit_normals(self, stream: int, index: int, subindex: int = 0) -> np.ndarray:
-        """(replicas, dim) standard normals for one counter position."""
+    def unit_normals(self, stream: int, index: int, subindex: int = 0,
+                     start: int = 0, count: int | None = None) -> np.ndarray:
+        """(count, dim) standard normals of replicas start..start+count (all
+        replicas by default) for one counter position.
+
+        Replica r reads raw values r dim.. of the position's stream; Philox
+        yields them in blocks of four, so the draw skips whole blocks with
+        advance and discards the remainder. A range is therefore bit for bit
+        the same rows of the full draw.
+        """
+        count = self.replicas - start if count is None else count
+        if not (0 <= start and 0 <= count and start + count <= self.replicas):
+            raise ValueError(f"replicas {start}..{start + count} are outside "
+                             f"the driver's [0, {self.replicas})")
         bg = np.random.Philox(key=np.array([self.seed, stream], dtype=np.uint64),
                               counter=np.array([0, 0, subindex, index], dtype=np.uint64))
-        raw = bg.random_raw(self.replicas * self.dim)
+        skip, first = divmod(start * self.dim, 4)
+        bg.advance(skip)
+        raw = bg.random_raw(first + count * self.dim)[first:]
         u = ((raw >> np.uint64(11)) + 0.5) * 2.0**-53  # strictly inside (0, 1)
-        return ndtri(u).reshape(self.replicas, self.dim)
+        return ndtri(u).reshape(count, self.dim)
 
-    def increments(self, step: int, dt: float) -> np.ndarray:
-        """Main-path increments, N(0, dt I_d) per replica at the given step."""
-        return self.unit_normals(_STREAM_FLOW, step) * np.sqrt(dt)
+    def increments(self, step: int, dt: float, start: int = 0,
+                   count: int | None = None) -> np.ndarray:
+        """Main-path increments, N(0, dt I_d) per replica at the given step,
+        for replicas start..start+count (all by default)."""
+        return self.unit_normals(_STREAM_FLOW, step, start=start, count=count) * np.sqrt(dt)
 
     def branch_increments(self, step: int, branch: int, dt: float) -> np.ndarray:
         """Fresh increments for branch continuations, independent of the main path."""

@@ -537,11 +537,22 @@ def save_trajectory(traj: NSTrajectory, directory, stride: int = 1) -> None:
 def load_trajectory(directory) -> NSTrajectory:
     """Read a checkpoint written by save_trajectory."""
     path = os.path.join(directory, "index.txt")
-    header, table = _read_checkpoint(path, ("nu",))
+    header, table = _read_checkpoint(path, ("n", "nu"))
     if not len(table):
         raise ValueError(f"checkpoint index {path} lists no nodes")
     times = _scatter_rows(path, table, [(0, len(table))], 1)[:, 0]
-    paths = [[os.path.join(directory, f"{kind}_{slot:05d}.txt") for slot in range(len(times))]
-             for kind in ("velocity", "pressure", "tendency")]
-    stacks = [np.array([load_field_snapshot(p).coeffs for p in ps]) for ps in paths]
-    return NSTrajectory(TorusGrid(stacks[0].shape[-1]), float(header["nu"]), times, *stacks)
+    n = int(header["n"])
+    stacks = []
+    for kind, shape in (("velocity", (2, n, n)), ("pressure", (n, n)),
+                        ("tendency", (2, n, n))):
+        stack = np.empty((len(times),) + shape, dtype=complex)
+        for slot in range(len(times)):
+            snap = os.path.join(directory, f"{kind}_{slot:05d}.txt")
+            coeffs = load_field_snapshot(snap).coeffs
+            if coeffs.shape != shape:
+                raise ValueError(f"checkpoint snapshot {snap} holds coefficients of shape "
+                                 f"{coeffs.shape}; a {kind} snapshot of the index's n = {n} "
+                                 f"has {shape}")
+            stack[slot] = coeffs
+        stacks.append(stack)
+    return NSTrajectory(TorusGrid(n), float(header["nu"]), times, *stacks)

@@ -411,16 +411,16 @@ class ModeStat:
 
 class _ReplicaRows:
     """Stands in for a driver of `count` replicas: rows start..start+count
-    of every increment the full driver draws, so a replica's noise does not
-    depend on which chunk it is marched in."""
+    of every increment the full driver draws, drawn alone, so a replica's
+    noise does not depend on which chunk it is marched in."""
 
     def __init__(self, driver: BrownianDriver, start: int, count: int):
         self.driver = driver
-        self.rows = slice(start, start + count)
+        self.start = start
         self.replicas = count
 
     def increments(self, step: int, dt: float) -> np.ndarray:
-        return self.driver.increments(step, dt)[self.rows]
+        return self.driver.increments(step, dt, self.start, self.replicas)
 
 
 def ensemble_mode_means(v0: SpectralVectorField, config: SPDEConfig, seed: int,

@@ -38,10 +38,18 @@ Oracles used here, each checkable by hand:
   divergence-free drifts; for the gradient drift v = grad cos x1 the volume
   change correlates with cos(x1 position) and the probe must be negative
   at many sigma while the sin(x1) probe stays at noise level by symmetry.
+
+* The observer forms its per-node sums as contractions over the point
+  axis. The per-term arithmetic they replaced is kept here as the
+  reference: every coefficient must agree with it within 1e-12 of the sum
+  of the magnitudes of its terms (the sums are only reordered), and the
+  tr H and det H maxima bit for bit (a = sin^2 >= 0 scales them exactly).
 """
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from svns.action import (
     PerturbationField,
@@ -49,6 +57,7 @@ from svns.action import (
     StaticPressure,
     TrajectoryPressure,
     ZeroPressure,
+    _ActionObserver,
     action_evaluate,
     default_multiplier_basis,
     default_perturbation_basis,
@@ -60,8 +69,24 @@ from svns.action import (
     trig_scalar_mode,
     trig_vector_mode,
 )
-from svns.fields import SpectralVectorField, TorusGrid, parseval_integral
-from svns.flows import BrownianDriver, make_flow_ensemble, simpson_weights
+from svns.fields import (
+    PhaseTable,
+    PointEvaluator,
+    SpectralField,
+    SpectralVectorField,
+    TorusGrid,
+    enforce_conjugate_symmetry,
+    parseval_integral,
+)
+from svns.flows import (
+    BrownianDriver,
+    FlowEnsemble,
+    _lattice_quadrature,
+    _material_rows,
+    det_jacobian,
+    make_flow_ensemble,
+    simpson_weights,
+)
 from svns.solver import (
     NSConfig,
     SampledDrift,
@@ -405,6 +430,161 @@ class TestQuadratureAndDeterminism:
 def perts_short(grid):
     return PerturbationField(grid, w_coeffs=trig_vector_mode(grid, (1, 0), "sin", 1),
                              envelope=SineSquaredEnvelope(0.05), label="short")
+
+
+# ---------------------------------------------------------------------------
+# the observer's point-axis contractions against the per-term arithmetic
+# ---------------------------------------------------------------------------
+
+def reference_accumulate(obs, t, ens, v, weight, absolute=False):
+    """One node of the action observer as it was computed before its sums
+    became point-axis contractions: one (directions, replicas, points)
+    array per term, each reduced by the lattice quadrature, with the
+    envelope folded into h. The rows come from the observer's own union
+    evaluator (vector rows j-major, then the phi rows).
+
+    With absolute=True every input is replaced by its magnitude and the one
+    difference, in det H, by a sum, so every coefficient becomes the sum of
+    the magnitudes of its terms: the scale of its roundoff.
+    """
+    f = np.abs if absolute else (lambda x: x)
+    g = obs.grid
+    npert, r = len(obs.perts), ens.replicas
+    wi, fi = obs._w_ids, obs._phi_ids
+    out = dict(k0=np.zeros(r), b0=np.zeros(r), k1=np.zeros((npert, r)),
+               k2=np.zeros((npert, r)), c=np.zeros((npert, 4, r)),
+               htr=np.zeros(npert), hdet=np.zeros(npert))
+    table = PhaseTable(ens.positions)
+    pc = obs.pressure.coeffs_at(t)
+    prows = [pc]
+    if wi.size:
+        prows += [1j * g.k1 * pc, 1j * g.k2 * pc,
+                  -g.k1 * g.k1 * pc, -g.k1 * g.k2 * pc, -g.k2 * g.k2 * pc]
+    pstack = f(table.evaluate(PointEvaluator(g, np.stack(prows))))
+    p_pts = pstack[0]
+    det = det_jacobian(ens)
+    dm1 = f(det - 1.0)
+    det = f(det)
+    v = f(v)
+    vx, vy = v[..., 0], v[..., 1]
+    out["k0"] += weight * _lattice_quadrature(vx ** 2 + vy ** 2)
+    out["b0"] += weight * _lattice_quadrature(p_pts * dm1)
+    if obs._union_eval is None:
+        return out
+    allp = f(table.evaluate(obs._union_eval))
+    nw = wi.size
+    aval = np.array([p.envelope.value(t) for p in obs.perts])
+    dval = f(np.array([p.envelope.derivative(t) for p in obs.perts]))
+    g1 = np.zeros((npert,) + p_pts.shape)
+    if nw:
+        _, p1, p2, p11, p12, p22 = pstack
+        W = allp[:8 * nw].reshape((8, nw) + p_pts.shape)
+        a = aval[wi][:, None, None]
+        lh1, lh2 = _material_rows(W, v, obs.nu, a, dval[wi][:, None, None])
+        out["k1"][wi] += weight * _lattice_quadrature(vx * lh1 + vy * lh2)
+        out["k2"][wi] += weight * _lattice_quadrature(lh1 ** 2 + lh2 ** 2)
+        trh = a * (W[1] + W[6])
+        if absolute:
+            deth = a * a * (W[1] * W[6] + W[2] * W[5])
+        else:
+            deth = a * a * (W[1] * W[6] - W[2] * W[5])
+        out["htr"][wi] = np.abs(trh).max(axis=(1, 2))
+        out["hdet"][wi] = np.abs(deth).max(axis=(1, 2))
+        h1 = a * W[0]
+        h2 = a * W[4]
+        g1[wi] = p1 * h1 + p2 * h2
+        g2 = 0.5 * (p11 * h1 * h1 + 2.0 * p12 * h1 * h2 + p22 * h2 * h2)
+    if fi.size:
+        g1[fi] += aval[fi][:, None, None] * allp[8 * nw:]
+    out["c"][:, 0] += weight * _lattice_quadrature(g1 * dm1)
+    if nw:
+        ddtr = det * trh
+        dddet = det * deth
+        out["c"][wi, 0] += weight * _lattice_quadrature(p_pts * ddtr)
+        out["c"][wi, 1] += weight * _lattice_quadrature(
+            g2 * dm1 + g1[wi] * ddtr + p_pts * dddet)
+        out["c"][wi, 2] += weight * _lattice_quadrature(g2 * ddtr + g1[wi] * dddet)
+        out["c"][wi, 3] += weight * _lattice_quadrature(g2 * dddet)
+    return out
+
+
+SMALL = TorusGrid(8)
+SMALL_T = 0.02
+_small_traj = []
+
+
+def small_pressure(kind, rng):
+    if kind == "trajectory":
+        if not _small_traj:
+            v0 = random_divergence_free(SMALL, seed=3, kmax=2, amplitude=0.8)
+            _small_traj.append(ns_solve(v0, NSConfig(nu=NU, dt=SMALL_T / 4, t_final=SMALL_T)))
+        return TrajectoryPressure(_small_traj[0])
+    if kind == "static":
+        return StaticPressure(SpectralField(SMALL, band_limited(rng, ())))
+    return ZeroPressure(SMALL)
+
+
+def band_limited(rng, lead):
+    """Random real-field coefficients on the modes |k1|, |k2| <= 2."""
+    k = SMALL.k
+    keep = (np.abs(k)[:, None] <= 2) & (np.abs(k)[None, :] <= 2)
+    shape = lead + (SMALL.n, SMALL.n)
+    c = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * keep
+    return enforce_conjugate_symmetry(c)
+
+
+class TestObserverContractions:
+    """The fused per-node sums agree with the per-term arithmetic."""
+
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(kinds=st.lists(st.sampled_from(["vector", "phi", "mixed"]), max_size=4),
+           pressure=st.sampled_from(["trajectory", "static", "zero"]),
+           node=st.integers(0, 4), replicas=st.integers(1, 3),
+           seed=st.integers(0, 2**32 - 1))
+    def test_sums_match_the_per_term_arithmetic(self, kinds, pressure, node, replicas, seed):
+        rng = np.random.default_rng(seed)
+        env = SineSquaredEnvelope(SMALL_T)
+        perts = tuple(PerturbationField(
+            SMALL, w_coeffs=band_limited(rng, (2,)) if kind != "phi" else None,
+            phi_coeffs=band_limited(rng, ()) if kind != "vector" else None,
+            envelope=env, label=kind) for kind in kinds)
+        npts = 10
+        ens = FlowEnsemble(
+            SMALL, np.zeros((npts, 2)), rng.uniform(-1.0, 7.0, (replicas, npts, 2)),
+            np.eye(2) + 0.3 * rng.standard_normal((replicas, npts, 2, 2)), 0.0, 0)
+        v = rng.standard_normal((replicas, npts, 2))
+        t = node * SMALL_T / 4  # the stored nodes; a and a' both vary
+        weight = float(rng.uniform(0.1, 2.0))
+        obs = _ActionObserver(SMALL, small_pressure(pressure, rng), perts, replicas, NU)
+        obs.accumulate(0, t, ens, v, None, weight)
+        ref = reference_accumulate(obs, t, ens, v, weight)
+        scale = reference_accumulate(obs, t, ens, v, weight, absolute=True)
+        assert np.array_equal(obs.k0, ref["k0"])
+        assert np.array_equal(obs.b0, ref["b0"])
+        for name, got in (("k1", obs.k1), ("k2", obs.k2), ("c", obs.c)):
+            assert got.shape == ref[name].shape
+            assert np.all(np.abs(got - ref[name]) <= 1e-12 * scale[name]), name
+        assert np.array_equal(obs.htr_max, ref["htr"])
+        assert np.array_equal(obs.hdet_max, ref["hdet"])
+        phi_only = [i for i, kind in enumerate(kinds) if kind == "phi"]
+        assert np.all(obs.k1[phi_only] == 0.0)
+        assert np.all(obs.c[phi_only, 1:] == 0.0)
+
+    def test_replica_blocks_do_not_change_a_bit(self, ns_traj, perts, monkeypatch):
+        def one_pass():
+            return prepare_action_run(
+                SampledDrift(ns_traj), TrajectoryPressure(ns_traj), nu=NU, dt=DT,
+                t_final=T_SHORT, driver=BrownianDriver(seed=12, replicas=5),
+                perturbations=list(perts.values()), stride=4)
+
+        base = one_pass()
+        # 64 points per replica: blocks of 1, 2 and all 5 replicas
+        for block in (64, 128, 8192):
+            monkeypatch.setattr(_ActionObserver, "_BLOCK_POINTS", block)
+            run = one_pass()
+            for name in ("kinetic1", "kinetic2", "constraint_poly", "htr_max", "hdet_max"):
+                assert np.array_equal(getattr(run, name), getattr(base, name)), (block, name)
 
 
 class TestValidation:

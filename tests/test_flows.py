@@ -131,6 +131,26 @@ class TestBrownianDriver:
         with pytest.raises(ValueError):
             BrownianDriver(seed=-1, replicas=4)
 
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_replica_range_is_the_full_draw_sliced(self, dim):
+        """Chunks of 7 of 40 replicas start at offsets that are not multiples
+        of Philox's 4-value block; each range is its rows of the full draw."""
+        d = BrownianDriver(seed=2**63 + 5, replicas=40, dim=dim)
+        for step in (0, 9):
+            full = d.increments(step, 0.01)
+            for start in range(0, 40, 7):
+                count = min(7, 40 - start)
+                np.testing.assert_array_equal(d.increments(step, 0.01, start, count),
+                                              full[start:start + count])
+        np.testing.assert_array_equal(d.unit_normals(2, 3, 1, start=33),
+                                      d.unit_normals(2, 3, 1)[33:])
+        assert d.increments(0, 0.01, 40, 0).shape == (0, dim)
+
+    @pytest.mark.parametrize("start, count", [(-1, 2), (39, 2), (0, 41), (3, -1)])
+    def test_replica_range_outside_the_driver_rejected(self, start, count):
+        with pytest.raises(ValueError, match="outside"):
+            BrownianDriver(seed=1, replicas=40).increments(0, 0.01, start, count)
+
 
 class TestFlowStep:
     def test_zero_drift_zero_noise_is_identity(self):

@@ -280,6 +280,21 @@ class TestTrajectoryCheckpoint:
         with pytest.raises(ValueError, match="index.txt"):
             S.load_trajectory(tmp_path / "ckpt")
 
+    @pytest.mark.parametrize("kind, wrong", [
+        ("velocity", lambda g: F.SpectralField(g, np.zeros((g.n, g.n), dtype=complex))),
+        ("pressure", lambda g: F.SpectralVectorField(g, np.zeros((2, g.n, g.n), dtype=complex))),
+        ("tendency", lambda g: F.SpectralVectorField(
+            F.TorusGrid(2 * g.n), np.zeros((2, 2 * g.n, 2 * g.n), dtype=complex))),
+    ])
+    def test_snapshot_of_the_wrong_shape_is_named(self, tmp_path, kind, wrong):
+        """A snapshot that is not a field of its kind at the index's n is
+        rejected with its file name, not deep inside the stacking."""
+        traj = tg_trajectory(nu=0.1, dt=0.01, t_final=0.02, n=8)
+        S.save_trajectory(traj, tmp_path / "ckpt")
+        F.save_field_snapshot(wrong(traj.grid), tmp_path / "ckpt" / f"{kind}_00001.txt")
+        with pytest.raises(ValueError, match=f"{kind}_00001.txt"):
+            S.load_trajectory(tmp_path / "ckpt")
+
 
 if __name__ == "__main__":
     pytest.main([__file__, "-v"])

@@ -626,6 +626,23 @@ class TestMeanDecay:
             assert other.stderr_re == stats[0].stderr_re
             assert other.stderr_im == stats[0].stderr_im
 
+    def test_chunks_draw_only_their_own_rows(self, grid, monkeypatch):
+        """Each chunk draws the normals of its own replicas and no more."""
+        drawn = []
+        normals = BrownianDriver.unit_normals
+
+        def counting(self, *args, **kwargs):
+            out = normals(self, *args, **kwargs)
+            drawn.append(out.shape[0])
+            return out
+
+        monkeypatch.setattr(BrownianDriver, "unit_normals", counting)
+        cfg = SPDEConfig(grid=grid, nu=NU, dt=5e-3, t_final=0.01, replicas=40,
+                         scheme="ito")
+        ensemble_mode_means(taylor_green(grid, amplitude=0.8), cfg, seed=9,
+                            modes=[(0, 1, 1)], chunk_size=7)
+        assert sum(drawn) == 40 * cfg.steps
+
     def test_rejects_nonpositive_chunks(self, grid, shear):
         cfg = SPDEConfig(grid=grid, nu=NU, dt=5e-3, t_final=5e-3, replicas=4,
                          scheme="ito")
