@@ -643,15 +643,23 @@ def evaluate_at(field, points: np.ndarray) -> np.ndarray:
 # checkpoint text codec: `# key = value` header, then rows; %.17g is bit-exact
 # ---------------------------------------------------------------------------
 
+# rows per `%` pass of the writer: each pass holds its rows as a tuple of
+# Python floats (~40 B a value), so a block bounds that transient
+_WRITE_ROWS = 1024
+
+
 def _write_checkpoint(path, title: str, header: dict, blocks) -> None:
     """Write `# title`, `# key = value` per header entry, then per (caption,
-    row format, table) block `# caption` and its rows, formatted by one `%`."""
-    out = [f"# {title}\n"] + [f"# {key} = {val}\n" for key, val in header.items()]
-    for caption, fmt, table in blocks:
-        out.append(f"# {caption}\n")
-        out.append((fmt + "\n") * len(table) % tuple(table.ravel().tolist()))
+    row format, table) block `# caption` and its rows, formatted by one `%`
+    per _WRITE_ROWS rows."""
     with open(path, "w") as fh:
-        fh.write("".join(out))
+        fh.write("".join([f"# {title}\n"] + [f"# {key} = {val}\n"
+                                              for key, val in header.items()]))
+        for caption, fmt, table in blocks:
+            fh.write(f"# {caption}\n")
+            for s in range(0, len(table), _WRITE_ROWS):
+                rows = table[s:s + _WRITE_ROWS]
+                fh.write((fmt + "\n") * len(rows) % tuple(rows.ravel().tolist()))
 
 
 def _read_checkpoint(path, keys, *tags):

@@ -16,10 +16,10 @@ shape, or thread count.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
 
 from .fields import (TWO_PI, PhaseTable, PointEvaluator, SpectralField, TorusGrid,
                      _read_checkpoint, _scatter_rows, _write_checkpoint, mean_value)
@@ -52,13 +52,95 @@ _STREAM_FLOW = 1
 _STREAM_BRANCH = 2
 
 
+# Cephes ndtri (Moshier, Methods and Programs for Mathematical Functions,
+# 1989), the algorithm behind scipy.special.ndtri, with its coefficients and
+# evaluation order. Rows are the 9 Horner terms, highest degree first;
+# columns are the numerators, then the denominators, of branch 0 (the
+# central rational in (y - 1/2)^2) and branches 1 and 2 (the tail rationals
+# in z = 1/x, x = sqrt(-2 log y), for x < 8 and x >= 8). Leading zeros pad
+# P0 to degree 8 and a leading 1 makes each denominator monic, so one
+# Horner loop repeats Cephes' polevl and p1evl operation for operation
+# (0 t + c and 1 t + c are exact).
+_NDTRI_COEFFS = np.array([
+    [[0.0, 0.0, 0.0, 0.0,
+      -5.99633501014107895267E1, 9.80010754185999661536E1, -5.66762857469070293439E1,
+      1.39312609387279679503E1, -1.23916583867381258016E0],
+     [1.0,
+      1.95448858338141759834E0, 4.67627912898881538453E0, 8.63602421390890590575E1,
+      -2.25462687854119370527E2, 2.00260212380060660359E2, -8.20372256168333339912E1,
+      1.59056225126211695515E1, -1.18331621121330003142E0]],
+    [[4.05544892305962419923E0, 3.15251094599893866154E1, 5.71628192246421288162E1,
+      4.40805073893200834700E1, 1.46849561928858024014E1, 2.18663306850790267539E0,
+      -1.40256079171354495875E-1, -3.50424626827848203418E-2, -8.57456785154685413611E-4],
+     [1.0,
+      1.57799883256466749731E1, 4.53907635128879210584E1, 4.13172038254672030440E1,
+      1.50425385692907503408E1, 2.50464946208309415979E0, -1.42182922854787788574E-1,
+      -3.80806407691578277194E-2, -9.33259480895457427372E-4]],
+    [[3.23774891776946035970E0, 6.91522889068984211695E0, 3.93881025292474443415E0,
+      1.33303460815807542389E0, 2.01485389549179081538E-1, 1.23716634817820021358E-2,
+      3.01581553508235416007E-4, 2.65806974686737550832E-6, 6.23974539184983293730E-9],
+     [1.0,
+      6.02427039364742014255E0, 3.67983563856160859403E0, 1.37702099489081330271E0,
+      2.16236993594496635890E-1, 1.34204006088543189037E-2, 3.28014464682127739104E-4,
+      2.89247864745380683936E-6, 6.79019408009981274425E-9]],
+]).transpose(2, 1, 0).reshape(9, 6)
+_EXP_M2 = 0.13533528323661269189  # e^-2, where the tails take over
+_SQRT_2PI = 2.50662827463100050242E0
+_U_MAX = float(np.nextafter(1.0, 0.0))  # the top of the driver's uniforms
+
+
+def _ndtri(y0: np.ndarray) -> np.ndarray:
+    """Inverse standard normal CDF of float64 values strictly inside (0, 1),
+    bit for bit the Cephes ndtri that scipy.special.ndtri runs.
+
+    Every value's numerator and denominator go through one Horner loop with
+    its branch's coefficients, over one array holding both. The two tail
+    logs call libm through math.log, as Cephes does: numpy's vectorised log
+    differs from it in the last bit on a few draws per million.
+    """
+    upper = y0 > 1.0 - _EXP_M2
+    y = np.where(upper, 1.0 - y0, y0)
+    tail = np.flatnonzero(y <= _EXP_M2)
+    yc = y - 0.5
+    t = yc * yc
+    branch = np.zeros(y.shape, np.intp)
+    if tail.size:
+        x = np.sqrt(-2.0 * np.fromiter(map(math.log, y[tail].tolist()), float, tail.size))
+        x0 = x - np.fromiter(map(math.log, x.tolist()), float, tail.size) / x
+        t[tail] = 1.0 / x
+        branch[tail] = 1
+        if x.max() >= 8.0:  # y < e^-32: about 3e-14 of the uniform draws
+            branch[tail[x >= 8.0]] = 2
+    coef = _NDTRI_COEFFS[:, np.concatenate((branch, branch + 3))]
+    tt = np.concatenate((t, t))
+    acc = coef[0].copy()
+    for k in range(1, 9):
+        acc *= tt
+        acc += coef[k]
+    r = t * acc[:y.size] / acc[y.size:]
+    out = (yc + yc * r) * _SQRT_2PI
+    if tail.size:
+        xt = x0 - r[tail]
+        out[tail] = np.where(upper[tail], xt, -xt)
+    return out
+
+
+def _normals_from_raw(raw: np.ndarray) -> np.ndarray:
+    """Standard normals of raw uint64 values, as BrownianDriver describes.
+    Without the clamp, k = 2^53 - 1 would give the uniform 1.0 and +inf."""
+    return _ndtri(np.minimum(((raw >> np.uint64(11)) + 0.5) * 2.0**-53, _U_MAX))
+
+
 class BrownianDriver:
     """Counter-based Gaussian increments keyed on (seed, stream, step, branch).
 
     Philox provides the raw counter-indexed uint64 stream; one raw value maps
     to one normal through the inverse CDF, so every increment is a pure
     function of its key and replica slot. No generator state is carried
-    between calls.
+    between calls. The top 53 bits k of a raw value give the uniform
+    (k + 1/2) 2^-53, clamped to the largest float64 below 1 (only k = 2^53 - 1
+    would round up to 1.0); the inverse CDF is a numpy port of Cephes ndtri,
+    bit for bit the normals of scipy.special.ndtri.
     """
 
     def __init__(self, seed: int, replicas: int, dim: int = 2):
@@ -89,8 +171,7 @@ class BrownianDriver:
         skip, first = divmod(start * self.dim, 4)
         bg.advance(skip)
         raw = bg.random_raw(first + count * self.dim)[first:]
-        u = ((raw >> np.uint64(11)) + 0.5) * 2.0**-53  # strictly inside (0, 1)
-        return ndtri(u).reshape(count, self.dim)
+        return _normals_from_raw(raw).reshape(count, self.dim)
 
     def increments(self, step: int, dt: float, start: int = 0,
                    count: int | None = None) -> np.ndarray:

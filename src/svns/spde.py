@@ -281,6 +281,13 @@ def spde_step_stratonovich(state: SPDEState, config: SPDEConfig,
 
 def spde_solve(v0, config: SPDEConfig, driver: BrownianDriver) -> SPDEState:
     """March a state (or a field, broadcast to all replicas) to t_final."""
+    g, c, t, step, brownian = _solve_half(v0, config, driver)
+    return SPDEState(g, _to_full(g, c), t, step, brownian)
+
+
+def _solve_half(v0, config: SPDEConfig, driver: BrownianDriver):
+    """spde_solve with the final coefficients left in the half layout:
+    (grid, coefficients, t, step index, Brownian endpoints)."""
     if isinstance(v0, SPDEState):
         g, c = v0.grid, _to_half(v0.grid, v0.coeffs)
         step, t, brownian = v0.step_index, v0.t, v0.brownian.copy()
@@ -294,7 +301,7 @@ def spde_solve(v0, config: SPDEConfig, driver: BrownianDriver) -> SPDEState:
     for dw in increments:
         brownian += dw
         t += config.dt
-    return SPDEState(g, _to_full(g, c), t, step + config.steps, brownian)
+    return g, c, t, step + config.steps, brownian
 
 
 def diagnostic_pressure(state: SPDEState) -> np.ndarray:
@@ -447,14 +454,20 @@ def ensemble_mode_means(v0: SpectralVectorField, config: SPDEConfig, seed: int,
         if comp not in (0, 1) or k1 not in idx or k2 not in idx:
             raise ValueError(f"mode {(comp, k1, k2)} not representable on the grid")
         sel.append((comp, idx[k1], idx[k2]))
-    sel = np.array(sel, dtype=np.int64).reshape(-1, 3)
+    comps, rows, cols = np.array(sel, dtype=np.int64).reshape(-1, 3).T
+    # the march's half layout keeps columns 0..n/2 (k2 = 0..n/2 - 1 and -n/2);
+    # a coefficient further right is the conjugate of its mirror at (-k1, -k2)
+    mirror = cols > g.n // 2
+    rows = np.where(mirror, -rows % g.n, rows)
+    cols = np.where(mirror, -cols % g.n, cols)
     total = config.replicas
     driver = BrownianDriver(seed=seed, replicas=total)
     vals = np.empty((total, len(sel)), dtype=complex)
     for start in range(0, total, chunk_size):
         r = min(chunk_size, total - start)
-        state = spde_solve(v0, replace(config, replicas=r), _ReplicaRows(driver, start, r))
-        vals[start:start + r] = state.coeffs[:, sel[:, 0], sel[:, 1], sel[:, 2]]
+        c = _solve_half(v0, replace(config, replicas=r), _ReplicaRows(driver, start, r))[1]
+        vals[start:start + r] = c[:, comps, rows, cols]
+    vals[:, mirror] = vals[:, mirror].conj()
     means = vals.mean(axis=0)
     se_re = _replica_stderr(vals.real, axis=0)
     se_im = _replica_stderr(vals.imag, axis=0)

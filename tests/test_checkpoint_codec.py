@@ -7,6 +7,8 @@ for byte, and every reload must reproduce the saved arrays bit for bit
 (compared as uint64, so -0.0 and subnormals count; NaN is not drawn).
 """
 
+import tracemalloc
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -94,6 +96,25 @@ def test_snapshot_bytes_and_bits(tmp_path_factory, data, n, ncomp):
     back = load_field_snapshot(d / "new.txt")
     assert type(back) is type(field) and back.grid == grid
     assert same_bits(back.coeffs, field.coeffs)
+
+
+def test_snapshot_written_in_row_blocks(tmp_path):
+    """A 64^2 vector snapshot spans several `%` passes: the bytes are still
+    the reference's, and the traced peak stays below the tuple of Python
+    floats (24 B each plus an 8 B slot) that one pass over all rows held."""
+    grid = TorusGrid(64)
+    stack = np.random.default_rng(4).standard_normal((2, 64, 64, 2)).view(np.complex128)[..., 0]
+    field = SpectralVectorField(grid, stack)
+    save_field_snapshot(field, tmp_path / "new.txt")
+    reference_snapshot(grid, stack, tmp_path / "ref.txt")
+    assert (tmp_path / "new.txt").read_bytes() == (tmp_path / "ref.txt").read_bytes()
+    tracemalloc.start()
+    try:
+        save_field_snapshot(field, tmp_path / "new.txt")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < stack.size * 5 * 32
 
 
 @settings(max_examples=25, deadline=None)

@@ -10,6 +10,7 @@ configuration and seed.
 
 import json
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
@@ -133,6 +134,38 @@ class TestConfig:
                               capture_output=True, text=True)
         assert proc.returncode == 2
         assert "no experiment selected" in proc.stderr
+
+    def test_imports_leave_scipy_unloaded(self):
+        """The runtime needs numpy alone; scipy would add its import to every
+        cold start."""
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        code = ("import sys, svns.cli, svns.spde, svns.noether; "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="sets glibc malloc thresholds")
+    def test_import_keeps_large_temporaries_on_the_heap(self):
+        """After `import svns`, blocks of a few MiB freed together are reused
+        rather than unmapped, so repeating the same work faults in no pages."""
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        code = ("import resource, numpy as np, svns\n"
+                "faults = []\n"
+                "for _ in range(4):\n"
+                "    f0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+                "    a, b, c = np.ones(1 << 20), np.ones(1 << 20), np.ones(3 << 18)\n"
+                "    del a, b, c\n"
+                "    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - f0)\n"
+                "print(*faults)")
+        proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        first, *repeats = map(int, proc.stdout.split())
+        assert max(repeats) < first // 10
 
 
 # ---------------------------------------------------------------------------

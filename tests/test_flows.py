@@ -42,6 +42,7 @@ from svns.flows import (
     simpson_weights,
     trapezoid_weights,
 )
+from svns.flows import _EXP_M2, _ndtri, _normals_from_raw
 from svns.solver import NSConfig, SampledDrift, SteadyDrift, ns_solve, taylor_green
 
 GRID = TorusGrid(32)
@@ -150,6 +151,46 @@ class TestBrownianDriver:
     def test_replica_range_outside_the_driver_rejected(self, start, count):
         with pytest.raises(ValueError, match="outside"):
             BrownianDriver(seed=1, replicas=40).increments(0, 0.01, start, count)
+
+
+    def test_normals_are_scipy_ndtri_bit_for_bit(self):
+        """The numpy port of Cephes ndtri against scipy's, compared as uint64:
+        10^6 Philox draws through the driver's raw-to-normal map, and float
+        sets at each branch boundary."""
+        ndtri = pytest.importorskip("scipy.special").ndtri
+
+        def uniforms(raw):
+            return np.minimum(((raw >> np.uint64(11)) + 0.5) * 2.0**-53, np.nextafter(1.0, 0.0))
+
+        def same_bits(ours, ref):
+            assert np.array_equal(ours.view(np.uint64), ref.view(np.uint64))
+
+        raw = np.random.Philox(key=np.array([2024, 1], dtype=np.uint64)).random_raw(10**6)
+        same_bits(_normals_from_raw(raw), ndtri(uniforms(raw)))
+        # top-53-bit values k: the smallest uniform 2^-54 and y = e^-32, where
+        # x = sqrt(-2 log y) crosses 8 (k ~ 114 from either end), and the upper
+        # half, where k + 1/2 rounds to an integer
+        k = np.concatenate([np.arange(0, 4096), np.arange(2**52, 2**52 + 4096),
+                            np.arange(2**53 - 4096, 2**53)]).astype(np.uint64)
+        raw = k << np.uint64(11)
+        same_bits(_normals_from_raw(raw), ndtri(uniforms(raw)))
+        # a few hundred ulps either side of e^-2 and 1 - e^-2, where the central
+        # rational hands over to the tails, and of e^-32 itself
+        steps = np.arange(-256, 257)
+        for edge in (_EXP_M2, 1.0 - _EXP_M2, np.exp(-32.0)):
+            u = edge + steps * np.spacing(edge)
+            same_bits(_ndtri(u), ndtri(u))
+
+    def test_top_of_the_raw_range_maps_to_a_finite_normal(self):
+        """Raw values >= 2^64 - 2^11 would give the uniform 1.0 and the normal
+        +inf; they are clamped to the largest float64 below 1, and the raw
+        value just under them keeps its own uniform 1 - 2^-52."""
+        top = np.array([2**64 - 1, 2**64 - 2**11], dtype=np.uint64)
+        below = np.array([2**64 - 2**11 - 1], dtype=np.uint64)
+        z = _normals_from_raw(top)
+        assert np.all(np.isfinite(z)) and np.all(z > 8.0)
+        np.testing.assert_array_equal(z, _ndtri(np.array([np.nextafter(1.0, 0.0)] * 2)))
+        np.testing.assert_array_equal(_normals_from_raw(below), _ndtri(np.array([1.0 - 2.0**-52])))
 
 
 class TestFlowStep:

@@ -46,6 +46,8 @@ Oracles, all derivable by hand:
   replica - whose mean must agree with the averaged action functional.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -625,6 +627,49 @@ class TestMeanDecay:
             assert other.mean == stats[0].mean
             assert other.stderr_re == stats[0].stderr_re
             assert other.stderr_im == stats[0].stderr_im
+
+    def test_modes_match_the_full_layout_of_spde_solve(self, grid):
+        """Modes read from the march's half layout, a k2 < 0 one as the
+        conjugate of its mirror, are bit for bit spde_solve's full-layout
+        coefficients, at |k| = n/2 too."""
+        v0 = random_divergence_free(grid, seed=5, kmax=6, amplitude=0.5)
+        cfg = SPDEConfig(grid=grid, nu=NU, dt=5e-3, t_final=0.01, replicas=12,
+                         scheme="ito")
+        modes = [(0, 1, 1), (1, 2, -3), (0, -5, -1), (0, 0, -2), (0, -16, 3),
+                 (1, 4, -16), (0, -16, -16), (1, -16, -3)]
+        idx = {int(k): i for i, k in enumerate(grid.k)}
+        coeffs = spde_solve(v0, cfg, BrownianDriver(seed=11, replicas=12)).coeffs
+        vals = np.stack([coeffs[:, c, idx[k1], idx[k2]] for c, k1, k2 in modes], axis=1)
+        assert np.all(vals[:, :4] != 0)
+        means = vals.mean(axis=0)
+        se_re = spde._replica_stderr(vals.real, axis=0)
+        se_im = spde._replica_stderr(vals.imag, axis=0)
+        for chunk in (12, 5):
+            stats = ensemble_mode_means(v0, cfg, seed=11, modes=modes, chunk_size=chunk)
+            assert [s.mode for s in stats] == modes
+            assert [s.mean for s in stats] == means.tolist()
+            assert [s.stderr_re for s in stats] == se_re.tolist()
+            assert [s.stderr_im for s in stats] == se_im.tolist()
+
+    def test_chunk_holds_no_full_layout_copy(self, grid, tg):
+        """A chunk's traced peak stays below the size of the full-layout
+        coefficients of its replicas: the modes come from the march's half
+        layout, not from spde_solve's full copy."""
+        replicas = 2000
+        cfg = SPDEConfig(grid=grid, nu=NU, dt=5e-3, t_final=0.01, replicas=replicas,
+                         scheme="ito")
+        full_bytes = replicas * 2 * grid.n * grid.n * 16
+        tracemalloc.start()
+        try:
+            ensemble_mode_means(tg, cfg, seed=3, modes=[(0, 1, 1)], chunk_size=replicas)
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            spde_solve(tg, cfg, BrownianDriver(seed=3, replicas=replicas))
+            solve_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert solve_peak > full_bytes
+        assert peak < full_bytes
 
     def test_chunks_draw_only_their_own_rows(self, grid, monkeypatch):
         """Each chunk draws the normals of its own replicas and no more."""
