@@ -53,7 +53,7 @@ from .flows import (
     simpson_weights,
     trapezoid_weights,
 )
-from .solver import DriftField, NSTrajectory, _step_count
+from .solver import DriftField, NSTrajectory, _check_ladder, _step_count
 
 __all__ = [
     "SineSquaredEnvelope",
@@ -153,18 +153,8 @@ class PerturbationField:
             raise ValueError("vector part must have shape (2, n, n)")
         if self.phi_coeffs is not None and self.phi_coeffs.shape != (grid.n, grid.n):
             raise ValueError("scalar part must have shape (n, n)")
-        if self.w_coeffs is None:
-            self._w_eval = None
-            self._w_stack = None
-        else:
-            self._w_stack = _derivative_stack(grid, self.w_coeffs)
-            self._w_eval = PointEvaluator(grid, self._w_stack)
-        if self.phi_coeffs is None:
-            self._phi_eval = None
-            self._phi_stack = None
-        else:
-            self._phi_stack = _derivative_stack(grid, self.phi_coeffs)
-            self._phi_eval = PointEvaluator(grid, self._phi_stack)
+        self._w_stack = (None if self.w_coeffs is None
+                         else _derivative_stack(grid, self.w_coeffs))
 
     def plus(self, other: "PerturbationField", label: str | None = None) -> "PerturbationField":
         """Sum of the vector/scalar parts (envelopes must match)."""
@@ -179,38 +169,6 @@ class PerturbationField:
         return PerturbationField(self.grid, add(self.w_coeffs, other.w_coeffs),
                                  add(self.phi_coeffs, other.phi_coeffs), self.envelope,
                                  label or f"{self.label}+{other.label}")
-
-    # -- direct evaluation (tests and small diagnostics) --------------------
-
-    def _w_parts(self, points: np.ndarray) -> np.ndarray:
-        if self._w_eval is None:
-            shape = (8,) + np.asarray(points).shape[:-1]
-            return np.zeros(shape)
-        return self._w_eval(points)
-
-    def h(self, t: float, points: np.ndarray) -> np.ndarray:
-        return self.envelope.value(t) * np.moveaxis(self._w_parts(points)[0::4], 0, -1)
-
-    def h_dt(self, t: float, points: np.ndarray) -> np.ndarray:
-        return self.envelope.derivative(t) * np.moveaxis(self._w_parts(points)[0::4], 0, -1)
-
-    def h_gradient(self, t: float, points: np.ndarray) -> np.ndarray:
-        parts = self._w_parts(points)
-        grad = parts.reshape((2, 4) + parts.shape[1:])[:, 1:3]
-        return self.envelope.value(t) * np.moveaxis(grad, (0, 1), (-2, -1))
-
-    def h_laplacian(self, t: float, points: np.ndarray) -> np.ndarray:
-        return self.envelope.value(t) * np.moveaxis(self._w_parts(points)[3::4], 0, -1)
-
-    def phi(self, t: float, points: np.ndarray) -> np.ndarray:
-        if self._phi_eval is None:
-            return np.zeros(np.asarray(points).shape[:-1])
-        return self.envelope.value(t) * self._phi_eval(points)[0]
-
-    def phi_gradient(self, t: float, points: np.ndarray) -> np.ndarray:
-        if self._phi_eval is None:
-            return np.zeros(np.asarray(points).shape)
-        return self.envelope.value(t) * np.moveaxis(self._phi_eval(points)[1:3], 0, -1)
 
 
 def default_perturbation_basis(grid: TorusGrid, t_final: float) -> list[PerturbationField]:
@@ -228,11 +186,7 @@ def default_perturbation_basis(grid: TorusGrid, t_final: float) -> list[Perturba
         basis.append(PerturbationField(
             grid, w_coeffs=trig_vector_mode(grid, (1, 1), "cos", comp),
             envelope=env, label=f"h:cos(x1+x2)e{comp + 1}"))
-    for k, phase, name in (((1, 0), "cos", "cos(x1)"), ((1, 0), "sin", "sin(x1)"),
-                           ((0, 1), "cos", "cos(x2)"), ((1, 1), "cos", "cos(x1+x2)")):
-        basis.append(PerturbationField(
-            grid, phi_coeffs=trig_scalar_mode(grid, k, phase),
-            envelope=env, label=f"phi:{name}"))
+    basis += default_multiplier_basis(grid, t_final)[:4]
     basis.append(PerturbationField(
         grid, w_coeffs=trig_vector_mode(grid, (0, 1), "cos", 0),
         phi_coeffs=trig_scalar_mode(grid, (0, 1), "sin"),
@@ -241,7 +195,7 @@ def default_perturbation_basis(grid: TorusGrid, t_final: float) -> list[Perturba
 
 
 def default_multiplier_basis(grid: TorusGrid, t_final: float) -> list[PerturbationField]:
-    """The multiplier (phi-only) directions of the default basis."""
+    """The multiplier (phi-only) directions; the default basis holds the first four."""
     env = SineSquaredEnvelope(t_final)
     out = []
     for k, phase, name in (((1, 0), "cos", "cos(x1)"), ((1, 0), "sin", "sin(x1)"),
@@ -278,13 +232,9 @@ class StaticPressure:
         return self._c
 
 
-class ZeroPressure:
+class ZeroPressure(StaticPressure):
     def __init__(self, grid: TorusGrid):
-        self.grid = grid
-        self._c = np.zeros((grid.n, grid.n), dtype=complex)
-
-    def coeffs_at(self, t: float) -> np.ndarray:
-        return self._c
+        super().__init__(SpectralField(grid, np.zeros((grid.n, grid.n), dtype=complex)))
 
 
 # ---------------------------------------------------------------------------
@@ -403,9 +353,9 @@ class _ActionObserver(FlowObserver):
         self.hdet_max = np.zeros(npert)
         self.det_defect_max = 0.0
         w_ids = [i for i, p in enumerate(perts) if p._w_stack is not None]
-        phi_ids = [i for i, p in enumerate(perts) if p._phi_stack is not None]
+        phi_ids = [i for i, p in enumerate(perts) if p.phi_coeffs is not None]
         rows = ([perts[i]._w_stack[j] for j in range(8) for i in w_ids]
-                + [perts[i]._phi_stack[0] for i in phi_ids])
+                + [perts[i].phi_coeffs for i in phi_ids])
         self._union_eval = PointEvaluator(grid, np.stack(rows)) if rows else None
         self._w_ids = np.asarray(w_ids, dtype=int)
         self._phi_ids = np.asarray(phi_ids, dtype=int)
@@ -615,11 +565,7 @@ class GateauxEstimate:
 
 def gateaux_derivative(run: ActionRun, pert, epsilon_ladder) -> GateauxEstimate:
     """delta S along a perturbation from the common-random-number ladder."""
-    ladder = [float(e) for e in epsilon_ladder]
-    if len(ladder) < 2:
-        raise ValueError("the ladder needs at least two eps values")
-    if any(e <= 0 for e in ladder) or any(a <= b for a, b in zip(ladder, ladder[1:])):
-        raise ValueError("epsilon ladder must be strictly decreasing and positive")
+    ladder = _check_ladder(epsilon_ladder, "the epsilon ladder")
     i = run.pert_index(pert)
     per_rung = []
     diffs = []

@@ -37,6 +37,7 @@ from .action import (
     default_perturbation_basis,
     gateaux_derivative,
     prepare_action_run,
+    trig_vector_mode,
 )
 from .fields import SpectralVectorField, TorusGrid, linf_norm, load_field_snapshot
 from .flows import BrownianDriver
@@ -51,6 +52,7 @@ from .noether import (
 from .solver import (
     NSConfig,
     SampledDrift,
+    _check_ladder,
     energy_balance_defects,
     ns_residual,
     ns_solve,
@@ -82,65 +84,8 @@ def _parse_floats(s: str) -> tuple[float, ...]:
     return tuple(float(part) for part in s.split(",") if part.strip())
 
 
-# key -> (parser, experiments that accept it, default per experiment or shared)
-_COMMON = {
-    "experiment": str,
-    "n": int,
-    "seed": int,
-    "out": str,
-    "report": str,
-    "json_report": str,
-    "nu": float,
-    "dt": float,
-    "t_final": float,
-}
-
-_SPECIFIC = {
-    "ns-verify": {
-        "amplitude": float,
-        "save_trajectory": str,
-        "tol_decay": float,
-        "tol_residual": float,
-        "tol_energy": float,
-    },
-    "criticality": {
-        "replicas": int,
-        "stride": int,
-        "ic_seed": int,
-        "ic_kmax": int,
-        "ic_amplitude": float,
-        "perturbation_modes": str,
-        "epsilon_ladder": _parse_floats,
-        "band_sigma": float,
-        "band_dt2": float,
-        "det_tol": float,
-    },
-    "noether": {
-        "replicas": int,
-        "stride": int,
-        "ic_seed": int,
-        "ic_kmax": int,
-        "ic_amplitude": float,
-        "symmetry": str,
-        "symmetry_file": str,
-        "force": _parse_bool,
-        "probe_times": _parse_floats,
-        "branches": int,
-        "eps_steps": int,
-        "tol_residual": float,
-        "tol_drift": float,
-        "band_sigma": float,
-        "band_dt2": float,
-    },
-    "spde-converge": {
-        "replicas": int,
-        "scheme": str,
-        "dt_ladder": _parse_floats,
-        "initial_data": str,
-        "order_min": float,
-    },
-}
-
+# every key each experiment accepts, with its default; the type of the
+# default fixes how a key's text is parsed (_parser)
 _DEFAULTS = {
     "ns-verify": {
         "n": 32, "seed": 0, "nu": 0.1, "dt": 1e-3, "t_final": 1.0,
@@ -170,10 +115,17 @@ _DEFAULTS = {
         "order_min": 0.9,
     },
 }
-for _exp, _d in _DEFAULTS.items():
-    _d.setdefault("out", ".")
-    _d.setdefault("report", "")
-    _d.setdefault("json_report", "")
+for _d in _DEFAULTS.values():
+    _d.update(out=".", report="", json_report="")
+
+
+def _parser(default):
+    """The parser of a key's text: bool is tested before int, its base class."""
+    if isinstance(default, bool):
+        return _parse_bool
+    if isinstance(default, tuple):
+        return _parse_floats
+    return type(default)
 
 
 def describe_config(experiment: str) -> str:
@@ -221,31 +173,30 @@ def load_config(path=None, sets=(), flags=None) -> dict:
         key, value = item.split("=", 1)
         raw[key.strip()] = value.strip()
     flags = dict(flags or {})
-    experiment = flags.pop("experiment", None) or raw.pop("experiment", None)
+    from_text = raw.pop("experiment", None)  # consumed even where the flag wins
+    experiment = flags.pop("experiment", None) or from_text
     if experiment is None:
         raise ConfigError("no experiment selected: pass --experiment or put "
                           "`experiment = <name>` in the config file")
     if experiment not in EXPERIMENTS:
         raise ConfigError(f"unknown experiment {experiment!r}; "
                           f"choose one of {', '.join(EXPERIMENTS)}")
-    schema = dict(_COMMON)
-    schema.update(_SPECIFIC[experiment])
-    cfg = dict(_DEFAULTS[experiment])
-    cfg["experiment"] = experiment
+    defaults = _DEFAULTS[experiment]
+    cfg = dict(defaults, experiment=experiment)
     for key, value in raw.items():
-        if key not in schema:
+        if key not in defaults:
             raise ConfigError(f"unknown key {key!r} for experiment {experiment}")
         try:
-            cfg[key] = schema[key](value)
+            cfg[key] = _parser(defaults[key])(value)
         except ValueError as exc:
             raise ConfigError(f"bad value for {key}: {exc}") from exc
     for key, value in flags.items():
         if value is None:
             continue
-        if key not in schema:
+        if key not in defaults:
             raise ConfigError(f"flag --{key.replace('_', '-')} does not apply "
                               f"to experiment {experiment}")
-        cfg[key] = schema[key](value) if isinstance(value, str) else value
+        cfg[key] = _parser(defaults[key])(value) if isinstance(value, str) else value
     _validate(cfg)
     return cfg
 
@@ -272,10 +223,12 @@ def _validate(cfg: dict) -> None:
             raise ConfigError(f"unknown scheme {cfg['scheme']!r}")
         if cfg["initial_data"] not in ("taylor-green", "shear"):
             raise ConfigError(f"unknown initial data {cfg['initial_data']!r}")
-        if len(cfg["dt_ladder"]) < 2:
-            raise ConfigError("dt_ladder needs at least two entries")
-    if exp == "criticality" and len(cfg["epsilon_ladder"]) < 2:
-        raise ConfigError("epsilon_ladder needs at least two entries")
+    for key in ("epsilon_ladder", "dt_ladder"):
+        if key in cfg:
+            try:
+                _check_ladder(cfg[key], key)
+            except ValueError as exc:
+                raise ConfigError(str(exc)) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -350,15 +303,6 @@ def _write_reports(cfg: dict, rows: list[CheckRow], header: list[str],
 # ---------------------------------------------------------------------------
 # the four experiments
 # ---------------------------------------------------------------------------
-
-def _shear_field(grid: TorusGrid) -> SpectralVectorField:
-    c = np.zeros((2, grid.n, grid.n), dtype=complex)
-    i1 = list(grid.k).index(1)
-    im1 = list(grid.k).index(-1)
-    c[0, 0, i1] = -0.5j
-    c[0, 0, im1] = 0.5j
-    return SpectralVectorField(grid, c)
-
 
 def _run_ns_verify(cfg: dict):
     grid = TorusGrid(cfg["n"])
@@ -511,7 +455,7 @@ def _run_noether(cfg: dict):
 def _run_spde_converge(cfg: dict):
     grid = TorusGrid(cfg["n"])
     data = (taylor_green(grid) if cfg["initial_data"] == "taylor-green"
-            else _shear_field(grid))
+            else SpectralVectorField(grid, trig_vector_mode(grid, (0, 1), "sin", 0)))
     ladder = cfg["dt_ladder"]
     spde_cfg = SPDEConfig(grid=grid, nu=cfg["nu"], dt=min(ladder),
                           t_final=cfg["t_final"], replicas=cfg["replicas"],
@@ -523,7 +467,7 @@ def _run_spde_converge(cfg: dict):
     rows = [CheckRow("strong-order", order, 0.0, cfg["order_min"],
                      report.order is not None and order >= cfg["order_min"])]
     errors = [row.mean_error for row in report.rows]
-    shrink = min(a / b for a, b in zip(errors, errors[1:])) if len(errors) > 1 else 1.0
+    shrink = min(a / b for a, b in zip(errors, errors[1:]))
     rows.append(CheckRow("error-monotone", shrink, 0.0, 1.0, shrink > 1.0))
     series = [(row.dt, row.mean_error, row.stderr, order) for row in report.rows]
     return rows, ["dt", "mean_error", "stderr", "fitted_order"], series
@@ -602,13 +546,8 @@ def main(argv=None) -> int:
                 raise ConfigError("--describe needs --experiment")
             print(describe_config(args.experiment))
             return 0
-        flags = {
-            key: getattr(args, key)
-            for key in ("experiment", "seed", "out", "report", "replicas",
-                        "dt", "save_trajectory", "perturbation_modes",
-                        "epsilon_ladder", "symmetry", "symmetry_file", "force",
-                        "branches", "eps_steps", "scheme", "dt_ladder")
-        }
+        flags = {key: value for key, value in vars(args).items()
+                 if key not in ("config", "set", "describe")}
         cfg = load_config(args.config, args.set, flags)
         start = time.perf_counter()
         rows, header, series = run_experiment(cfg)

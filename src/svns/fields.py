@@ -146,67 +146,49 @@ def _check_coeffs(grid: TorusGrid, coeffs: np.ndarray, ncomp: int | None) -> np.
 
 
 @dataclass(eq=False)
-class SpectralField:
-    """Real scalar field stored as its full complex coefficient array."""
+class _Field:
+    """The body shared by the scalar and vector fields: grid and coefficients,
+    with `_ncomp` components (None for a scalar)."""
 
     grid: TorusGrid
     coeffs: np.ndarray
+    _ncomp = None
 
     def __post_init__(self):
-        self.coeffs = _check_coeffs(self.grid, self.coeffs, None)
+        self.coeffs = _check_coeffs(self.grid, self.coeffs, self._ncomp)
 
     def values(self) -> np.ndarray:
-        return inverse_transform(self)
+        """Grid values, shaped like the coefficients."""
+        return _ifft(self.coeffs)
 
-    def copy(self) -> "SpectralField":
-        return SpectralField(self.grid, self.coeffs.copy())
+    def copy(self):
+        return type(self)(self.grid, self.coeffs.copy())
 
-    def __add__(self, other: "SpectralField") -> "SpectralField":
+    def __add__(self, other):
         _require_same_grid(self, other)
-        return SpectralField(self.grid, self.coeffs + other.coeffs)
+        return type(self)(self.grid, self.coeffs + other.coeffs)
 
-    def __sub__(self, other: "SpectralField") -> "SpectralField":
+    def __sub__(self, other):
         _require_same_grid(self, other)
-        return SpectralField(self.grid, self.coeffs - other.coeffs)
+        return type(self)(self.grid, self.coeffs - other.coeffs)
 
-    def __mul__(self, scalar: float) -> "SpectralField":
-        return SpectralField(self.grid, self.coeffs * float(scalar))
+    def __mul__(self, scalar: float):
+        return type(self)(self.grid, self.coeffs * float(scalar))
 
     __rmul__ = __mul__
 
 
-@dataclass(eq=False)
-class SpectralVectorField:
+class SpectralField(_Field):
+    """Real scalar field stored as its full complex coefficient array."""
+
+
+class SpectralVectorField(_Field):
     """Real 2-component vector field, coefficients shaped (2, n, n)."""
 
-    grid: TorusGrid
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        self.coeffs = _check_coeffs(self.grid, self.coeffs, 2)
+    _ncomp = 2
 
     def component(self, i: int) -> SpectralField:
         return SpectralField(self.grid, self.coeffs[i])
-
-    def values(self) -> np.ndarray:
-        """Grid values shaped (2, n, n)."""
-        return _ifft(self.coeffs)
-
-    def copy(self) -> "SpectralVectorField":
-        return SpectralVectorField(self.grid, self.coeffs.copy())
-
-    def __add__(self, other: "SpectralVectorField") -> "SpectralVectorField":
-        _require_same_grid(self, other)
-        return SpectralVectorField(self.grid, self.coeffs + other.coeffs)
-
-    def __sub__(self, other: "SpectralVectorField") -> "SpectralVectorField":
-        _require_same_grid(self, other)
-        return SpectralVectorField(self.grid, self.coeffs - other.coeffs)
-
-    def __mul__(self, scalar: float) -> "SpectralVectorField":
-        return SpectralVectorField(self.grid, self.coeffs * float(scalar))
-
-    __rmul__ = __mul__
 
 
 def _require_same_grid(a, b) -> None:
@@ -353,11 +335,7 @@ def laplacian(field):
 def jacobian_matrix(v: SpectralVectorField) -> np.ndarray:
     """Coefficients of grad v as a (2, 2, n, n) array, entry [i, j] = d v_i / d x_j."""
     g = v.grid
-    out = np.empty((2, 2, g.n, g.n), dtype=np.complex128)
-    for i in range(2):
-        out[i, 0] = 1j * g.k1 * v.coeffs[i]
-        out[i, 1] = 1j * g.k2 * v.coeffs[i]
-    return out
+    return np.stack([1j * g.k1 * v.coeffs, 1j * g.k2 * v.coeffs], axis=1)
 
 
 def _layout(grid: TorusGrid, c: np.ndarray):

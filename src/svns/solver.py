@@ -24,6 +24,7 @@ import numpy as np
 
 from .fields import (
     TWO_PI,
+    PointEvaluator,
     SpectralField,
     SpectralVectorField,
     TorusGrid,
@@ -39,6 +40,7 @@ from .fields import (
     _values_half,
     _write_checkpoint,
     enforce_conjugate_symmetry,
+    jacobian_matrix,
     load_field_snapshot,
     save_field_snapshot,
 )
@@ -76,6 +78,17 @@ def _step_count(span: float, dt: float, message: str) -> int:
     if abs(steps - round(steps)) > 1e-8:
         raise ValueError(message)
     return int(round(steps))
+
+
+def _check_ladder(ladder, name: str) -> list[float]:
+    """The ladder as floats; ValueError unless it has at least two entries,
+    all positive and strictly decreasing."""
+    ladder = [float(x) for x in ladder]
+    if len(ladder) < 2:
+        raise ValueError(f"{name} needs at least two entries")
+    if any(x <= 0 for x in ladder) or any(a <= b for a, b in zip(ladder, ladder[1:])):
+        raise ValueError(f"{name} must be strictly decreasing and positive")
+    return ladder
 
 
 @dataclass(frozen=True)
@@ -347,7 +360,7 @@ class DriftField:
 
     Subclasses provide coefficient arrays of v and of its exact time
     derivative at any t. Point evaluation goes through trimmed direct
-    summation, with small per-time caches because flow stepping hits each
+    summation, with a small per-time cache because flow stepping hits each
     node time many times (all replicas share the field).
     """
 
@@ -355,8 +368,7 @@ class DriftField:
 
     def __init__(self, grid: TorusGrid):
         self.grid = grid
-        self._vg_cache: dict[float, "PointEvaluatorPair"] = {}
-        self._v_cache: dict[float, object] = {}
+        self._cache: dict[tuple[float, bool], PointEvaluator] = {}
 
     def coeffs_at(self, t: float) -> np.ndarray:
         raise NotImplementedError
@@ -364,51 +376,35 @@ class DriftField:
     def velocity_dt_coeffs_at(self, t: float) -> np.ndarray:
         raise NotImplementedError
 
-    def _stack_vg(self, t: float):
-        from .fields import PointEvaluator
-
-        ev = self._vg_cache.get(t)
+    def _evaluator(self, t: float, with_gradient: bool) -> PointEvaluator:
+        """The evaluator of rows v1, v2 at time t, followed, with the
+        gradient, by d1 v1, d2 v1, d1 v2, d2 v2."""
+        ev = self._cache.get((t, with_gradient))
         if ev is None:
-            c = self.coeffs_at(t)
             g = self.grid
-            stack = np.stack([
-                c[0], c[1],
-                1j * g.k1 * c[0], 1j * g.k2 * c[0],
-                1j * g.k1 * c[1], 1j * g.k2 * c[1],
-            ])
-            ev = PointEvaluator(g, stack)
-            if len(self._vg_cache) > 8:
-                self._vg_cache.clear()
-            self._vg_cache[t] = ev
-        return ev
-
-    def _stack_v(self, t: float):
-        from .fields import PointEvaluator
-
-        ev = self._v_cache.get(t)
-        if ev is None:
-            ev = PointEvaluator(self.grid, self.coeffs_at(t))
-            if len(self._v_cache) > 8:
-                self._v_cache.clear()
-            self._v_cache[t] = ev
+            c = self.coeffs_at(t)
+            if with_gradient:
+                grad = jacobian_matrix(SpectralVectorField(g, c))
+                c = np.concatenate([c, grad.reshape(4, g.n, g.n)])
+            ev = PointEvaluator(g, c)
+            if len(self._cache) > 8:
+                self._cache.clear()
+            self._cache[(t, with_gradient)] = ev
         return ev
 
     def velocity(self, t: float, points) -> np.ndarray:
         """v(t, .) at arbitrary points, given raw or as a PhaseTable of the
         points; returns points.shape[:-1] + (2,)."""
-        vals = self._stack_v(t)(points)
+        vals = self._evaluator(t, False)(points)
         return np.moveaxis(vals, 0, -1)
 
     def velocity_and_gradient(self, t: float, points):
         """v and grad v at arbitrary points, given raw or as a PhaseTable:
         shapes (..., 2) and (..., 2, 2)."""
-        vals = self._stack_vg(t)(points)
+        vals = self._evaluator(t, True)(points)
         v = np.moveaxis(vals[:2], 0, -1)
         h = np.moveaxis(vals[2:].reshape((2, 2) + vals.shape[1:]), (0, 1), (-2, -1))
         return v, h
-
-    def spectral_velocity(self, t: float) -> SpectralVectorField:
-        return SpectralVectorField(self.grid, self.coeffs_at(t))
 
 
 class SampledDrift(DriftField):
@@ -459,10 +455,6 @@ class SampledDrift(DriftField):
         tr = self.traj
         return (d00 * tr.velocity_coeffs[i] + d01 * tr.velocity_coeffs[i + 1]
                 + d10 * tr.rhs_coeffs[i] + d11 * tr.rhs_coeffs[i + 1])
-
-    def pressure_coeffs_at(self, t: float) -> np.ndarray:
-        """Pressure is stored at nodes only; t must sit on the node grid."""
-        return self.traj.pressure_coeffs[self.traj.node_index(t)]
 
 
 class SteadyDrift(DriftField):

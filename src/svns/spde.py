@@ -65,7 +65,7 @@ from .fields import (
     parseval_integral,
 )
 from .flows import BrownianDriver, _lattice_quadrature, _replica_stderr
-from .solver import CFLError, DriftField, _step_count
+from .solver import CFLError, DriftField, _check_ladder, _step_count
 
 __all__ = [
     "SPDEConfig",
@@ -251,10 +251,12 @@ def _march(grid: TorusGrid, config: SPDEConfig, c: np.ndarray,
     return out
 
 
-def _advance(state: SPDEState, config: SPDEConfig, dw: np.ndarray,
-             stratonovich: bool) -> SPDEState:
-    """One step with explicit increments dw of shape (replicas, 2)."""
+def _step(state: SPDEState, config: SPDEConfig, driver: BrownianDriver,
+          stratonovich: bool) -> SPDEState:
+    """One step with the driver's increments for the state's step index."""
     g = state.grid
+    _check_compat(g, state.replicas, config, driver)
+    dw = driver.increments(state.step_index, config.dt)
     cnew = _to_full(g, _march(g, config, _to_half(g, state.coeffs), dw[None],
                               stratonovich))
     return SPDEState(g, cnew, state.t + config.dt, state.step_index + 1,
@@ -264,9 +266,7 @@ def _advance(state: SPDEState, config: SPDEConfig, dw: np.ndarray,
 def spde_step_ito(state: SPDEState, config: SPDEConfig,
                   driver: BrownianDriver) -> SPDEState:
     """Euler-Maruyama step of the Ito form (explicit viscosity, raw noise)."""
-    _check_compat(state.grid, state.replicas, config, driver)
-    dw = driver.increments(state.step_index, config.dt)
-    return _advance(state, config, dw, stratonovich=False)
+    return _step(state, config, driver, stratonovich=False)
 
 
 def spde_step_stratonovich(state: SPDEState, config: SPDEConfig,
@@ -274,9 +274,7 @@ def spde_step_stratonovich(state: SPDEState, config: SPDEConfig,
     """Heun step of the Stratonovich form: predictor with the increment,
     corrector averaging drift and noise coefficients; no explicit viscous
     term - the Heun average supplies the Ito-Stratonovich correction."""
-    _check_compat(state.grid, state.replicas, config, driver)
-    dw = driver.increments(state.step_index, config.dt)
-    return _advance(state, config, dw, stratonovich=True)
+    return _step(state, config, driver, stratonovich=True)
 
 
 def spde_solve(v0, config: SPDEConfig, driver: BrownianDriver) -> SPDEState:
@@ -364,11 +362,7 @@ def strong_error(config: SPDEConfig, u: SpectralVectorField, dt_ladder,
     """Integrate steady Euler data on every rung of the ladder with shared
     Brownian paths (coarse increments are sums of fine ones) and compare
     against the exact shifted field at t_final."""
-    ladder = [float(d) for d in dt_ladder]
-    if len(ladder) < 2:
-        raise ValueError("the step ladder needs at least two entries")
-    if any(d <= 0 for d in ladder) or any(a <= b for a, b in zip(ladder, ladder[1:])):
-        raise ValueError("step ladder must be strictly decreasing and positive")
+    ladder = _check_ladder(dt_ladder, "the step ladder")
     fine = ladder[-1]
     for d in ladder:
         _step_count(d, fine, f"every ladder step must be an integer multiple of the "

@@ -52,16 +52,79 @@ def csv_data_rows(csv_text):
 # configuration handling
 # ---------------------------------------------------------------------------
 
+# the `--describe` text of every experiment, byte for byte as the config
+# table printed it before its keys and parsers moved into one table
+DESCRIBED = {
+    "ns-verify": [
+        "experiment = ns-verify", "amplitude = 1.0", "dt = 0.001", "json_report = ",
+        "n = 32", "nu = 0.1", "out = .", "report = ", "save_trajectory = ", "seed = 0",
+        "t_final = 1.0", "tol_decay = 1e-08", "tol_energy = 1e-10", "tol_residual = 1e-10",
+    ],
+    "criticality": [
+        "experiment = criticality", "band_dt2 = 1.0", "band_sigma = 3.0", "det_tol = 0.0001",
+        "dt = 0.001", "epsilon_ladder = 0.01,0.005", "ic_amplitude = 0.6", "ic_kmax = 3",
+        "ic_seed = 7", "json_report = ", "n = 32", "nu = 0.05", "out = .",
+        "perturbation_modes = all", "replicas = 16", "report = ", "seed = 0", "stride = 1",
+        "t_final = 0.5",
+    ],
+    "noether": [
+        "experiment = noether", "band_dt2 = 1.0", "band_sigma = 3.0", "branches = 16",
+        "dt = 0.001", "eps_steps = 8", "force = False", "ic_amplitude = 0.6", "ic_kmax = 3",
+        "ic_seed = 7", "json_report = ", "n = 32", "nu = 0.05", "out = .",
+        "probe_times = 0.1,0.2", "replicas = 8", "report = ", "seed = 0", "stride = 1",
+        "symmetry = translation-x", "symmetry_file = ", "t_final = 0.2",
+        "tol_drift = 1e-12", "tol_residual = 1e-10",
+    ],
+    "spde-converge": [
+        "experiment = spde-converge", "dt = 0.001", "dt_ladder = 0.004,0.002,0.001",
+        "initial_data = taylor-green", "json_report = ", "n = 32", "nu = 0.05",
+        "order_min = 0.9", "out = .", "replicas = 64", "report = ",
+        "scheme = stratonovich-heun", "seed = 0", "t_final = 0.256",
+    ],
+}
+
+
 class TestConfig:
-    def test_defaults_roundtrip_through_a_file(self, tmp_path):
-        text = describe_config("spde-converge")
-        assert "order_min = 0.9" in text
+    @pytest.mark.parametrize("experiment, line, expected", [
+        ("ns-verify", "tol_decay = 1e-08", {"tol_decay": 1e-8, "save_trajectory": ""}),
+        ("criticality", "epsilon_ladder = 0.01,0.005", {"epsilon_ladder": (1e-2, 5e-3)}),
+        ("noether", "force = False", {"force": False, "probe_times": (0.1, 0.2)}),
+        ("spde-converge", "order_min = 0.9",
+         {"dt_ladder": (4e-3, 2e-3, 1e-3), "order_min": 0.9}),
+    ], ids=["ns-verify", "criticality", "noether", "spde-converge"])
+    def test_defaults_roundtrip_through_a_file(self, tmp_path, experiment, line, expected):
+        text = describe_config(experiment)
+        assert line in text
         path = tmp_path / "exp.cfg"
         path.write_text(text + "\n# trailing comment\n")
         cfg = load_config(path)
-        assert cfg["experiment"] == "spde-converge"
-        assert cfg["dt_ladder"] == (4e-3, 2e-3, 1e-3)
-        assert cfg["order_min"] == 0.9
+        assert cfg["experiment"] == experiment
+        for key, value in expected.items():
+            assert cfg[key] == value
+        defaults = load_config(None, flags={"experiment": experiment})
+        assert {k: (v, type(v)) for k, v in cfg.items()} == {
+            k: (v, type(v)) for k, v in defaults.items()}
+
+    @pytest.mark.parametrize("experiment", sorted(DESCRIBED))
+    def test_describe_text_is_pinned(self, experiment):
+        assert describe_config(experiment) == "\n".join(DESCRIBED[experiment])
+
+    def test_experiment_flag_beats_the_file(self, tmp_path):
+        path = tmp_path / "c.cfg"
+        path.write_text("experiment = noether\n")
+        cfg = load_config(path, flags={"experiment": "ns-verify"})
+        assert cfg == load_config(None, flags={"experiment": "ns-verify"})
+
+    def test_experiment_flag_beats_a_set(self):
+        cfg = load_config(None, sets=["experiment=spde-converge"],
+                          flags={"experiment": "criticality"})
+        assert cfg == load_config(None, flags={"experiment": "criticality"})
+
+    @pytest.mark.parametrize("experiment, key", [("criticality", "epsilon_ladder"),
+                                                 ("spde-converge", "dt_ladder")])
+    def test_rising_ladder_rejected_before_any_work(self, experiment, key):
+        with pytest.raises(ConfigError, match="strictly decreasing"):
+            load_config(None, sets=[f"{key}=1e-3,2e-3"], flags={"experiment": experiment})
 
     def test_describe_rejects_unknown_experiment(self):
         with pytest.raises(ConfigError, match="unknown experiment"):
