@@ -30,30 +30,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import (
-    TWO_PI,
-    PointEvaluator,
-    SpectralField,
-    TorusGrid,
-    _advection_half,
-    _derivative_stack,
-    _ifft,
-    _to_full,
-    _to_half,
-)
+from .fields import TWO_PI, PointEvaluator, SpectralField, TorusGrid, _derivative_stack, _ifft
 from .flows import (
     BrownianDriver,
     FlowEnsemble,
     FlowObserver,
     _lattice_quadrature,
+    _observed_pass,
     _replica_stderr,
     det_jacobian,
-    make_flow_ensemble,
-    run_flow,
-    simpson_weights,
-    trapezoid_weights,
 )
-from .solver import DriftField, NSTrajectory, _check_ladder, _step_count
+from .solver import DriftField, NSTrajectory, _check_ladder, _momentum_residual
 
 __all__ = [
     "SineSquaredEnvelope",
@@ -339,6 +326,8 @@ class _ActionObserver(FlowObserver):
 
     def __init__(self, grid: TorusGrid, pressure, perts: tuple[PerturbationField, ...],
                  replicas: int, nu: float):
+        if pressure.grid != grid:
+            raise ValueError("pressure lives on a different grid")
         self.grid = grid
         self.pressure = pressure
         self.perts = perts
@@ -376,7 +365,7 @@ class _ActionObserver(FlowObserver):
         p_pts = pstack[0]
         det = det_jacobian(ens)
         dm1 = det - 1.0
-        self.det_defect_max = max(self.det_defect_max, float(np.max(np.abs(dm1))))
+        self.det_defect_max = float(np.maximum(self.det_defect_max, np.max(np.abs(dm1))))
         v = np.moveaxis(drift_values, -1, 0).copy()
         self.k0 += weight * _lattice_quadrature(v[0] ** 2 + v[1] ** 2)
         self.b0 += weight * _lattice_quadrature(p_pts * dm1)
@@ -463,38 +452,6 @@ class ActionRun:
         return s1, s2
 
 
-def _quadrature_weights(kind: str, steps: int, dt: float) -> np.ndarray:
-    if kind == "simpson":
-        return simpson_weights(steps, dt)
-    if kind == "trapezoid":
-        return trapezoid_weights(steps, dt)
-    raise ValueError(f"unknown quadrature {kind!r}")
-
-
-def _action_pass(drift: DriftField, pressure, make_observer, *, nu: float, dt: float,
-                 t_final: float, driver: BrownianDriver, ensemble: FlowEnsemble | None,
-                 stride: int, quadrature: str):
-    """The flow pass behind the action and its pathwise form.
-
-    Checks the horizon, the lattice (defaulting to the full grid with the
-    driver's replica count) and the pressure grid, then runs the flow with
-    the observer make_observer(replicas, steps); returns the observer and
-    the final ensemble.
-    """
-    steps = _step_count(t_final, dt, "t_final must be an integer multiple of dt")
-    if ensemble is None:
-        ensemble = make_flow_ensemble(drift.grid, driver.replicas, stride=stride)
-    if ensemble.jacobians is None:
-        raise ValueError("the action needs Jacobian tracking")
-    if pressure.grid != drift.grid:
-        raise ValueError("pressure lives on a different grid")
-    weights = _quadrature_weights(quadrature, steps, dt)
-    obs = make_observer(ensemble.replicas, steps)
-    final = run_flow(ensemble, drift, nu, dt, steps, driver, observers=(obs,),
-                     weights=weights)
-    return obs, final
-
-
 def prepare_action_run(drift: DriftField, pressure, *, nu: float, dt: float,
                        t_final: float, driver: BrownianDriver,
                        ensemble: FlowEnsemble | None = None, stride: int = 1,
@@ -510,9 +467,8 @@ def prepare_action_run(drift: DriftField, pressure, *, nu: float, dt: float,
             raise ValueError(
                 f"perturbation {pert.label!r} lives on horizon "
                 f"{pert.envelope.t_final}, run has {t_final}")
-    obs, final = _action_pass(
-        drift, pressure,
-        lambda replicas, steps: _ActionObserver(drift.grid, pressure, perts, replicas, nu),
+    obs, final = _observed_pass(
+        drift, lambda replicas, steps: _ActionObserver(drift.grid, pressure, perts, replicas, nu),
         nu=nu, dt=dt, t_final=t_final, driver=driver, ensemble=ensemble,
         stride=stride, quadrature=quadrature)
     return ActionRun(drift.grid, nu, dt, t_final, perts,
@@ -613,20 +569,11 @@ class _PairingObserver(FlowObserver):
         # only the value rows of w pair with the residual
         self.w_eval = None if pert.w_coeffs is None else PointEvaluator(grid, pert.w_coeffs)
 
-    def _residual_coeffs(self, t: float) -> np.ndarray:
-        """d_t v + (v . grad) v - nu Lap v + grad p, spectrally."""
-        g = self.grid
-        c = self.drift.coeffs_at(t)
-        adv = _to_full(g, _advection_half(g, _to_half(g, c)))
-        pc = self.pressure.coeffs_at(t)
-        res = self.drift.velocity_dt_coeffs_at(t) + adv + self.nu * g.k_squared * c
-        res = res + np.stack([1j * g.k1 * pc, 1j * g.k2 * pc])
-        return res
-
     def accumulate(self, node, t, ens, drift_values, drift_grads, weight):
-        res = self._residual_coeffs(t)
-        self.residual_norm = max(
-            self.residual_norm, float(np.max(np.abs(_ifft(res)))))
+        res = _momentum_residual(self.grid, self.drift.coeffs_at(t),
+                                 self.drift.velocity_dt_coeffs_at(t),
+                                 self.pressure.coeffs_at(t), self.nu)
+        self.residual_norm = float(np.maximum(self.residual_norm, np.max(np.abs(_ifft(res)))))
         if self.w_eval is None:
             return
         table = self.node_table(ens)
@@ -647,13 +594,11 @@ def euler_lagrange_residual(drift: DriftField, pressure, pert: PerturbationField
     Runs its own flow pass (positions only) with the same driver keys as an
     action pass, so the paths match an action run at identical parameters.
     """
-    steps = _step_count(t_final, dt, "t_final must be an integer multiple of dt")
-    if ensemble is None:
-        ensemble = make_flow_ensemble(drift.grid, driver.replicas, stride=stride,
-                                      jacobians=False)
-    weights = _quadrature_weights(quadrature, steps, dt)
-    obs = _PairingObserver(drift.grid, drift, pressure, pert, nu, ensemble.replicas)
-    run_flow(ensemble, drift, nu, dt, steps, driver, observers=(obs,), weights=weights)
+    obs, _ = _observed_pass(
+        drift, lambda replicas, steps: _PairingObserver(drift.grid, drift, pressure, pert, nu,
+                                                        replicas),
+        nu=nu, dt=dt, t_final=t_final, driver=driver, ensemble=ensemble, stride=stride,
+        jacobians=False, quadrature=quadrature)
     return ELResidual(float(obs.acc.mean()), float(_replica_stderr(obs.acc)),
                       obs.residual_norm)
 

@@ -43,6 +43,7 @@ from .fields import SpectralVectorField, TorusGrid, linf_norm, load_field_snapsh
 from .flows import BrownianDriver
 from .noether import (
     SymmetryPair,
+    _sample_steps,
     invariance_check,
     martingale_probe,
     momentum_series,
@@ -53,6 +54,7 @@ from .solver import (
     NSConfig,
     SampledDrift,
     _check_ladder,
+    _horizon_steps,
     energy_balance_defects,
     ns_residual,
     ns_solve,
@@ -183,52 +185,51 @@ def load_config(path=None, sets=(), flags=None) -> dict:
                           f"choose one of {', '.join(EXPERIMENTS)}")
     defaults = _DEFAULTS[experiment]
     cfg = dict(defaults, experiment=experiment)
-    for key, value in raw.items():
+    # file and --set values first, then flags; argparse has typed some flags
+    given = [(key, value, f"unknown key {key!r} for experiment {experiment}")
+             for key, value in raw.items()]
+    given += [(key, value, f"flag --{key.replace('_', '-')} does not apply to "
+                           f"experiment {experiment}")
+              for key, value in flags.items() if value is not None]
+    for key, value, unknown in given:
         if key not in defaults:
-            raise ConfigError(f"unknown key {key!r} for experiment {experiment}")
+            raise ConfigError(unknown)
         try:
-            cfg[key] = _parser(defaults[key])(value)
+            cfg[key] = _parser(defaults[key])(value) if isinstance(value, str) else value
         except ValueError as exc:
             raise ConfigError(f"bad value for {key}: {exc}") from exc
-    for key, value in flags.items():
-        if value is None:
-            continue
-        if key not in defaults:
-            raise ConfigError(f"flag --{key.replace('_', '-')} does not apply "
-                              f"to experiment {experiment}")
-        cfg[key] = _parser(defaults[key])(value) if isinstance(value, str) else value
     _validate(cfg)
     return cfg
 
 
 def _validate(cfg: dict) -> None:
-    if cfg["n"] < 4 or cfg["n"] % 2:
-        raise ConfigError(f"grid size must be an even integer >= 4, got {cfg['n']}")
-    if cfg["dt"] <= 0 or cfg["t_final"] <= 0:
-        raise ConfigError("dt and t_final must be positive")
-    if not 0 <= cfg["seed"] < 2**64:
-        raise ConfigError("seed must fit in 64 bits")
-    if "replicas" in cfg and cfg["replicas"] < 1:
-        raise ConfigError(f"need at least one replica, got {cfg['replicas']}")
-    if cfg.get("nu", 0.0) < 0:
-        raise ConfigError("viscosity must be nonnegative")
+    """Check the configuration by the rules of the modules that will run it,
+    so that a bad value is a ConfigError before any work starts."""
     exp = cfg["experiment"]
+    try:
+        grid = TorusGrid(cfg["n"])
+        BrownianDriver(cfg["seed"], cfg.get("replicas", 1))
+        _horizon_steps(cfg["nu"], cfg["dt"], cfg["t_final"])
+        for key in ("epsilon_ladder", "dt_ladder"):
+            if key in cfg:
+                _check_ladder(cfg[key], key)
+        if exp == "noether":
+            _sample_steps(cfg["probe_times"], cfg["dt"])
+            if cfg["probe_times"][-1] > cfg["t_final"]:
+                raise ValueError(f"probe time {cfg['probe_times'][-1]} is past "
+                                 f"t_final = {cfg['t_final']}")
+        if exp == "spde-converge":
+            SPDEConfig(grid, cfg["nu"], min(cfg["dt_ladder"]), cfg["t_final"],
+                       cfg["replicas"], cfg["scheme"])
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     if exp == "noether":
         if cfg["symmetry"] not in ("translation-x", "translation-y", "custom"):
             raise ConfigError(f"unknown symmetry {cfg['symmetry']!r}")
         if cfg["symmetry"] == "custom" and not cfg["symmetry_file"]:
             raise ConfigError("symmetry = custom needs symmetry_file")
-    if exp == "spde-converge":
-        if cfg["scheme"] not in ("ito", "stratonovich-heun"):
-            raise ConfigError(f"unknown scheme {cfg['scheme']!r}")
-        if cfg["initial_data"] not in ("taylor-green", "shear"):
-            raise ConfigError(f"unknown initial data {cfg['initial_data']!r}")
-    for key in ("epsilon_ladder", "dt_ladder"):
-        if key in cfg:
-            try:
-                _check_ladder(cfg[key], key)
-            except ValueError as exc:
-                raise ConfigError(str(exc)) from exc
+    if exp == "spde-converge" and cfg["initial_data"] not in ("taylor-green", "shear"):
+        raise ConfigError(f"unknown initial data {cfg['initial_data']!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +319,7 @@ def _run_ns_verify(cfg: dict):
             grid, traj.velocity_coeffs[i] - exact.coeffs))
         gap = float(energy[i - 1]) if i > 0 else 0.0
         series.append((float(t), err, gap))
-        worst = max(worst, err)
+        worst = float(np.maximum(worst, err))  # keeps a NaN
     residual = ns_residual(traj)
     rows = [
         CheckRow("analytic-decay-linf", worst, 0.0, cfg["tol_decay"],
@@ -402,7 +403,7 @@ def _run_noether(cfg: dict):
     # the drift probe branches eps_steps beyond its last sample time, so the
     # stored trajectory carries that margin; reports cover [0, t_final]
     grid, traj = _random_ns_pieces(cfg, extra_steps=cfg["eps_steps"])
-    nodes = int(round(cfg["t_final"] / cfg["dt"])) + 1
+    nodes = _horizon_steps(cfg["nu"], cfg["dt"], cfg["t_final"]) + 1
     pair = _load_symmetry(cfg, grid)
     drift = SampledDrift(traj)
     deterministic = noether_residual(pair, traj)

@@ -71,7 +71,7 @@ class TorusGrid:
 
     def __init__(self, n: int):
         if n < 4 or n % 2 != 0:
-            raise ValueError(f"grid size must be even and >= 4, got {n}")
+            raise ValueError(f"grid size must be an even integer >= 4, got {n}")
         self.n = int(n)
         self.dim = 2
         self.spacing = TWO_PI / n
@@ -470,7 +470,10 @@ class PointEvaluator:
         # the roundoff of the summation itself; dropping them keeps the active
         # band tight for fields that are sparse up to FFT noise
         mags = np.abs(stack)
-        nz = mags > 1e-15 * mags.max(initial=0.0)
+        top = mags.max(initial=0.0)
+        if not np.isfinite(top):
+            raise ValueError(f"coefficient stack holds a non-finite value ({top})")
+        nz = mags > 1e-15 * top
         rows = np.where(nz.any(axis=(0, 2)))[0]
         cols = np.where(nz.any(axis=(0, 1)))[0]
         if rows.size == 0:  # identically zero stack

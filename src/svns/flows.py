@@ -17,13 +17,13 @@ shape, or thread count.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .fields import (TWO_PI, PhaseTable, PointEvaluator, SpectralField, TorusGrid,
                      _read_checkpoint, _scatter_rows, _write_checkpoint, mean_value)
-from .solver import DriftField
+from .solver import DriftField, _horizon_steps
 
 __all__ = [
     "BrownianDriver",
@@ -245,13 +245,20 @@ def jacobian_step(jacobians: np.ndarray, grad_start: np.ndarray,
     return jacobians + (dt / 2.0) * (h1j + grad_end @ (jacobians + dt * h1j))
 
 
+def _drift_at(ens: FlowEnsemble, drift: DriftField, points):
+    """The start-stage drift of a step at time ens.t: v and, when the
+    ensemble tracks Jacobians, grad v (else None) at the given points."""
+    if ens.jacobians is not None:
+        return drift.velocity_and_gradient(ens.t, points)
+    return drift.velocity(ens.t, points), None
+
+
 def _step_core(ens: FlowEnsemble, drift: DriftField, nu: float, dt: float,
-               driver: BrownianDriver, v1: np.ndarray, h1: np.ndarray | None) -> FlowEnsemble:
-    """Advance one step reusing the already-evaluated start-stage drift."""
-    noise = np.sqrt(2.0 * nu) * driver.increments(ens.step_index, dt)
-    shift = noise[:, None, :]
-    if h1 is None and ens.jacobians is not None:
-        _, h1 = drift.velocity_and_gradient(ens.t, ens.positions)
+               dw: np.ndarray, v1: np.ndarray, h1: np.ndarray | None) -> FlowEnsemble:
+    """Advance one Heun step with Brownian increments dw (replicas, 2),
+    reusing the start-stage drift v1 and, when Jacobians are tracked, its
+    gradient h1."""
+    shift = (np.sqrt(2.0 * nu) * dw)[:, None, :]
     pred = ens.positions + dt * v1 + shift
     t1 = ens.t + dt
     if ens.jacobians is not None:
@@ -273,11 +280,8 @@ def flow_step(ens: FlowEnsemble, drift: DriftField, nu: float, dt: float,
     """
     if driver.replicas != ens.replicas:
         raise ValueError("driver and ensemble disagree on the replica count")
-    if ens.jacobians is not None:
-        v1, h1 = drift.velocity_and_gradient(ens.t, ens.positions)
-    else:
-        v1, h1 = drift.velocity(ens.t, ens.positions), None
-    return _step_core(ens, drift, nu, dt, driver, v1, h1)
+    v1, h1 = _drift_at(ens, drift, ens.positions)
+    return _step_core(ens, drift, nu, dt, driver.increments(ens.step_index, dt), v1, h1)
 
 
 class FlowObserver:
@@ -348,6 +352,14 @@ def trapezoid_weights(steps: int, dt: float) -> np.ndarray:
     return w * dt
 
 
+def _quadrature_weights(kind: str, steps: int, dt: float) -> np.ndarray:
+    if kind == "simpson":
+        return simpson_weights(steps, dt)
+    if kind == "trapezoid":
+        return trapezoid_weights(steps, dt)
+    raise ValueError(f"unknown quadrature {kind!r}")
+
+
 def run_flow(ens: FlowEnsemble, drift: DriftField, nu: float, dt: float,
              steps: int, driver: BrownianDriver,
              observers: tuple[FlowObserver, ...] = (),
@@ -370,11 +382,7 @@ def run_flow(ens: FlowEnsemble, drift: DriftField, nu: float, dt: float,
         raise ValueError("driver and ensemble disagree on the replica count")
     for i in range(steps + 1):
         table = PhaseTable(ens.positions)
-        at = table if isinstance(drift, DriftField) else ens.positions
-        if ens.jacobians is not None:
-            v1, h1 = drift.velocity_and_gradient(ens.t, at)
-        else:
-            v1, h1 = drift.velocity(ens.t, at), None
+        v1, h1 = _drift_at(ens, drift, table if isinstance(drift, DriftField) else ens.positions)
         w = 0.0 if weights is None else float(weights[i])
         for obs in observers:
             obs.table = table
@@ -382,10 +390,35 @@ def run_flow(ens: FlowEnsemble, drift: DriftField, nu: float, dt: float,
                 obs.accumulate(i, ens.t, ens, v1, h1, w)
             finally:
                 obs.table = None
-        del table, at
+        del table
         if i < steps:
-            ens = _step_core(ens, drift, nu, dt, driver, v1, h1)
+            ens = _step_core(ens, drift, nu, dt, driver.increments(ens.step_index, dt), v1, h1)
     return ens
+
+
+def _observed_pass(drift: DriftField, make_observer, *, nu: float, dt: float, t_final: float,
+                   driver: BrownianDriver, ensemble: FlowEnsemble | None = None,
+                   stride: int = 1, jacobians: bool = True, quadrature: str | None = None):
+    """One observed flow pass over [0, t_final], the pass behind the action,
+    its pathwise form, the Euler-Lagrange pairing and the invariance check.
+
+    Checks nu and the horizon by the solver's rule, defaults the ensemble to the drift grid's lattice
+    at `stride` with the driver's replica count, requires Jacobian tracking
+    when `jacobians` is set, and weights the nodes by the named time
+    quadrature (none by default). Runs the flow with the observer
+    make_observer(replicas, steps); returns the observer and the final
+    ensemble.
+    """
+    steps = _horizon_steps(nu, dt, t_final)
+    if ensemble is None:
+        ensemble = make_flow_ensemble(drift.grid, driver.replicas, stride=stride,
+                                      jacobians=jacobians)
+    if jacobians and ensemble.jacobians is None:
+        raise ValueError("this flow pass needs Jacobian tracking")
+    weights = None if quadrature is None else _quadrature_weights(quadrature, steps, dt)
+    obs = make_observer(ensemble.replicas, steps)
+    final = run_flow(ensemble, drift, nu, dt, steps, driver, observers=(obs,), weights=weights)
+    return obs, final
 
 
 # ---------------------------------------------------------------------------
@@ -430,8 +463,8 @@ def inverse_jacobian_divergence_check(ens: FlowEnsemble) -> float:
         f1 = np.fft.fft2(inv[..., 1, col].reshape(nn)) / (m * m)
         dsum = 1j * lattice.k1 * f0 + 1j * lattice.k2 * f1
         vals = np.fft.ifft2(dsum * (m * m)).real
-        worst = max(worst, float(np.max(np.abs(vals))))
-    return worst
+        worst = np.maximum(worst, np.max(np.abs(vals)))  # keeps a NaN
+    return float(worst)
 
 
 def measure_preservation_defects(ens: FlowEnsemble, field: SpectralField) -> np.ndarray:
@@ -506,16 +539,15 @@ def generalized_derivative(observable, ens: FlowEnsemble, drift: DriftField,
     t0 = ens.t
     base = observable.values(t0, ens.positions)
     quot = np.empty((branches,) + base.shape)
+    start = replace(ens, jacobians=None)
     for b in range(branches):
-        pos = ens.positions.copy()
+        br = start
         for j in range(eps_steps):
-            tj = t0 + j * dt
-            noise = np.sqrt(2.0 * nu) * driver.branch_increments(ens.step_index + j, b, dt)
-            v1 = drift.velocity(tj, pos)
-            pred = pos + dt * v1 + noise[:, None, :]
-            v2 = drift.velocity(tj + dt, pred)
-            pos = pos + (dt / 2.0) * (v1 + v2) + noise[:, None, :]
-        quot[b] = (observable.values(t0 + eps, pos) - base) / eps
+            # step j starts at t0 + j dt exactly, not at a sum of dt's
+            br = replace(br, t=t0 + j * dt)
+            dw = driver.branch_increments(ens.step_index + j, b, dt)
+            br = _step_core(br, drift, nu, dt, dw, drift.velocity(br.t, br.positions), None)
+        quot[b] = (observable.values(t0 + eps, br.positions) - base) / eps
     mean = quot.mean(axis=0)
     stderr = _replica_stderr(quot, axis=0)
     return BranchEstimate(mean, stderr, eps, branches,

@@ -48,6 +48,7 @@ from .flows import (
     FlowObserver,
     _lattice_quadrature,
     _material_rows,
+    _observed_pass,
     _replica_stderr,
     det_jacobian,
     generalized_derivative,
@@ -184,8 +185,8 @@ class _InvarianceObserver(FlowObserver):
         da = pair.envelope.derivative(t)
         v = drift_values
         if ens.jacobians is not None:
-            self.det_defect = max(self.det_defect,
-                                  float(np.max(np.abs(det_jacobian(ens) - 1.0))))
+            self.det_defect = float(np.maximum(self.det_defect,
+                                               np.max(np.abs(det_jacobian(ens) - 1.0))))
         if pair._eta_eval is not None:
             # L_t eta at the particles, same chain-rule form as the operator
             le1, le2 = _material_rows(table.evaluate(pair._eta_eval), v, self.nu, a, da)
@@ -206,10 +207,10 @@ def invariance_check(pair: SymmetryPair, drift: DriftField, *, nu: float,
     Lagrangian vanish only on measure-preserving flows, so a Jacobian
     determinant defect beyond det_tolerance attaches a warning.
     """
-    steps = _step_count(t_final, dt, "t_final must be an integer multiple of dt")
-    ens = make_flow_ensemble(pair.grid, driver.replicas, stride=stride, jacobians=True)
-    obs = _InvarianceObserver(pair, nu, steps + 1, driver.replicas)
-    run_flow(ens, drift, nu, dt, steps, driver, observers=(obs,))
+    obs, _ = _observed_pass(
+        drift, lambda replicas, steps: _InvarianceObserver(pair, nu, steps + 1, replicas),
+        nu=nu, dt=dt, t_final=t_final, driver=driver,
+        ensemble=make_flow_ensemble(pair.grid, driver.replicas, stride=stride))
     diff = obs.lhs - obs.rhs
     defect = np.abs(diff.mean(axis=1))
     stderr = _replica_stderr(diff, axis=1)
@@ -309,6 +310,19 @@ class _ChargeObservable:
         return _lattice_quadrature(out)
 
 
+def _sample_steps(sample_times, dt: float) -> list[int]:
+    """Steps from t = 0 to the first sample time and between each later pair;
+    ValueError unless there is a sample time and the times are nonnegative,
+    strictly increasing step multiples."""
+    samples = [float(t) for t in sample_times]
+    if not samples:
+        raise ValueError("need at least one sample time")
+    if any(b <= a for a, b in zip(samples, samples[1:])) or samples[0] < 0:
+        raise ValueError("sample times must be nonnegative and strictly increasing")
+    return [_step_count(t - s, dt, f"sample time {t} is not a step multiple")
+            for s, t in zip([0.0] + samples, samples)]
+
+
 def martingale_probe(pair: SymmetryPair, drift: DriftField, *, nu: float,
                      dt: float, driver: BrownianDriver,
                      sample_times: tuple[float, ...], stride: int = 1,
@@ -320,16 +334,11 @@ def martingale_probe(pair: SymmetryPair, drift: DriftField, *, nu: float,
     should vanish within error bars at every time. Sample times must be
     nonnegative ascending step multiples.
     """
-    samples = [float(t) for t in sample_times]
-    if not samples:
-        raise ValueError("need at least one sample time")
-    if any(b <= a for a, b in zip(samples, samples[1:])) or samples[0] < 0:
-        raise ValueError("sample times must be nonnegative and strictly increasing")
+    segments = _sample_steps(sample_times, dt)
     obs = _ChargeObservable(pair, drift)
     ens = make_flow_ensemble(pair.grid, driver.replicas, stride=stride, jacobians=False)
     out = []
-    for t in samples:
-        steps = _step_count(t - ens.t, dt, f"sample time {t} is not a step multiple")
+    for steps in segments:
         ens = run_flow(ens, drift, nu, dt, steps, driver)
         series = obs.values(ens.t, ens.positions)
         est = generalized_derivative(obs, ens, drift, nu, dt, driver,

@@ -75,9 +75,22 @@ def _step_count(span: float, dt: float, message: str) -> int:
     """Number of dt steps in span; ValueError(message) unless span is an
     integer multiple of dt (to 1e-8 of a step)."""
     steps = span / dt
-    if abs(steps - round(steps)) > 1e-8:
+    if not np.isfinite(steps) or abs(steps - round(steps)) > 1e-8:
         raise ValueError(message)
     return int(round(steps))
+
+
+def _horizon_steps(nu: float, dt: float, t_final: float) -> int:
+    """Step count of a run with viscosity nu and step dt to t_final;
+    ValueError unless nu is finite and nonnegative, dt finite and positive,
+    and t_final positive and an integer multiple of dt."""
+    if not (np.isfinite(nu) and nu >= 0):
+        raise ValueError(f"viscosity must be finite and nonnegative, got {nu}")
+    if not (np.isfinite(dt) and dt > 0 and t_final > 0):
+        raise ValueError(f"dt must be finite and positive and t_final positive, got "
+                         f"dt = {dt}, t_final = {t_final}")
+    return _step_count(t_final, dt,
+                       f"t_final = {t_final} is not an integer multiple of dt = {dt}")
 
 
 def _check_ladder(ladder, name: str) -> list[float]:
@@ -101,16 +114,11 @@ class NSConfig:
     cfl_limit: float = 0.5
 
     def __post_init__(self):
-        if self.nu < 0:
-            raise ValueError(f"viscosity must be nonnegative, got {self.nu}")
-        if self.dt <= 0 or self.t_final <= 0:
-            raise ValueError("dt and t_final must be positive")
-        _step_count(self.t_final, self.dt,
-                    f"t_final = {self.t_final} is not an integer multiple of dt = {self.dt}")
+        _horizon_steps(self.nu, self.dt, self.t_final)
 
     @property
     def steps(self) -> int:
-        return int(round(self.t_final / self.dt))
+        return _horizon_steps(self.nu, self.dt, self.t_final)
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +272,7 @@ def ns_solve(v0: SpectralVectorField, config: NSConfig,
         w = _values_half(g, ch)
         maxv = float(np.max(np.abs(w)))
         cfl = config.dt * maxv * g.n / (2.0 * np.pi)
-        if cfl > config.cfl_limit:
+        if not cfl <= config.cfl_limit:  # NaN trips it too
             raise CFLError(
                 f"CFL number {cfl:.3f} exceeds limit {config.cfl_limit} at "
                 f"t = {times[i]:.6g} (max|v| = {maxv:.3g}, dt = {config.dt})"
@@ -293,17 +301,23 @@ def ns_residual(traj: NSTrajectory) -> float:
     difference; advection and the pressure gradient are recomputed from the
     stored fields.
     """
-    g = traj.grid
     worst = 0.0
     for lo in range(0, len(traj.times), _NODE_CHUNK):
         nodes = slice(lo, lo + _NODE_CHUNK)
-        c = traj.velocity_coeffs[nodes]
-        adv = _to_full(g, _advection_half(g, _to_half(g, c)))
-        p = traj.pressure_coeffs[nodes]
-        gp = np.stack([1j * g.k1 * p, 1j * g.k2 * p], axis=1)
-        res = traj.rhs_coeffs[nodes] + adv + traj.nu * g.k_squared * c + gp
-        worst = max(worst, float(np.max(_node_parseval(res))))
+        res = _momentum_residual(traj.grid, traj.velocity_coeffs[nodes], traj.rhs_coeffs[nodes],
+                                 traj.pressure_coeffs[nodes], traj.nu)
+        worst = np.maximum(worst, np.max(_node_parseval(res)))  # keeps a NaN
     return float(np.sqrt(worst))
+
+
+def _momentum_residual(grid: TorusGrid, c: np.ndarray, c_dt: np.ndarray, p: np.ndarray,
+                       nu: float) -> np.ndarray:
+    """d_t v + (v . grad) v - nu Delta v + grad p, spectrally, for velocity
+    coefficients c (..., 2, n, n), their time derivative c_dt and the
+    pressure p (..., n, n)."""
+    adv = _to_full(grid, _advection_half(grid, _to_half(grid, c)))
+    gp = np.stack([1j * grid.k1 * p, 1j * grid.k2 * p], axis=-3)
+    return c_dt + adv + nu * grid.k_squared * c + gp
 
 
 def energy_balance_defects(traj: NSTrajectory) -> np.ndarray:

@@ -50,7 +50,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .action import _action_pass, _ActionObserver
+from .action import _ActionObserver
 from .fields import (
     TWO_PI,
     SpectralVectorField,
@@ -64,8 +64,8 @@ from .fields import (
     _values_half,
     parseval_integral,
 )
-from .flows import BrownianDriver, _lattice_quadrature, _replica_stderr
-from .solver import CFLError, DriftField, _check_ladder, _step_count
+from .flows import BrownianDriver, _lattice_quadrature, _observed_pass, _replica_stderr
+from .solver import CFLError, DriftField, _check_ladder, _horizon_steps, _step_count
 
 __all__ = [
     "SPDEConfig",
@@ -114,12 +114,7 @@ class SPDEConfig:
     cfl_limit: float = 1.0
 
     def __post_init__(self):
-        if self.nu < 0:
-            raise ValueError(f"viscosity must be nonnegative, got {self.nu}")
-        if self.dt <= 0 or self.t_final <= 0:
-            raise ValueError("dt and t_final must be positive")
-        _step_count(self.t_final, self.dt,
-                    f"t_final = {self.t_final} is not an integer multiple of dt = {self.dt}")
+        _horizon_steps(self.nu, self.dt, self.t_final)
         if self.replicas < 1:
             raise ValueError(f"need at least one replica, got {self.replicas}")
         if self.scheme not in _SCHEMES:
@@ -127,7 +122,7 @@ class SPDEConfig:
 
     @property
     def steps(self) -> int:
-        return int(round(self.t_final / self.dt))
+        return _horizon_steps(self.nu, self.dt, self.t_final)
 
 
 @dataclass(eq=False)
@@ -207,7 +202,7 @@ def _advance_half(grid: TorusGrid, config: SPDEConfig, c: np.ndarray,
     displacement = dt * float(np.max(np.abs(w))) + np.sqrt(2.0 * nu) * float(
         np.max(np.abs(dw)))
     budget = config.cfl_limit * (2.0 * np.pi / hg.n)
-    if displacement > budget:
+    if not displacement <= budget:  # NaN trips it too
         raise CFLError(
             f"step displacement {displacement:.3g} exceeds the CFL budget "
             f"{budget:.3g} (limit {config.cfl_limit} cells)")
@@ -369,10 +364,7 @@ def strong_error(config: SPDEConfig, u: SpectralVectorField, dt_ladder,
                              f"finest; {d} / {fine} is not")
         _step_count(config.t_final, d,
                     f"t_final = {config.t_final} is not an integer multiple of dt = {d}")
-    if config.grid != u.grid:
-        raise ValueError("drift lives on a different grid than the config")
-    if driver.replicas != config.replicas:
-        raise ValueError("driver and config disagree on the replica count")
+    _check_compat(u.grid, config.replicas, config, driver)
     steps_fine = int(round(config.t_final / fine))
     increments = np.stack([driver.increments(i, fine) for i in range(steps_fine)])
     oracle = shift_oracle(u, increments.sum(axis=0), config.nu)
@@ -530,10 +522,9 @@ def run_semimartingale_flow(drift: DriftField, pressure, *, nu: float, dt: float
                             ensemble=None, stride: int = 1,
                             quadrature: str = "simpson") -> SemimartingaleFlowRun:
     """One flow pass accumulating everything the pathwise action needs."""
-    obs, _ = _action_pass(
-        drift, pressure,
-        lambda replicas, steps: _TildeObserver(drift.grid, pressure, nu, dt, steps,
-                                               driver, replicas),
+    obs, _ = _observed_pass(
+        drift, lambda replicas, steps: _TildeObserver(drift.grid, pressure, nu, dt, steps,
+                                                      driver, replicas),
         nu=nu, dt=dt, t_final=t_final, driver=driver, ensemble=ensemble,
         stride=stride, quadrature=quadrature)
     return SemimartingaleFlowRun(drift.grid, nu, dt, t_final, obs.k0, obs.b0,

@@ -653,6 +653,13 @@ class TestValidation:
                                nu=NU, dt=3e-3, t_final=T_SHORT,
                                driver=BrownianDriver(seed=1, replicas=2))
 
+    @pytest.mark.parametrize("nu, dt", [(NU, 0.0), (-0.1, DT), (np.nan, DT)])
+    def test_bad_viscosity_or_step_rejected(self, ns_traj, nu, dt):
+        with pytest.raises(ValueError, match="viscosity|dt"):
+            prepare_action_run(SampledDrift(ns_traj), TrajectoryPressure(ns_traj),
+                               nu=nu, dt=dt, t_final=T_SHORT,
+                               driver=BrownianDriver(seed=1, replicas=2))
+
     def test_unregistered_perturbation_rejected(self, ns_run, grid):
         stranger = PerturbationField(grid, w_coeffs=trig_vector_mode(grid, (1, 0), "sin", 1),
                                      envelope=SineSquaredEnvelope(T_SHORT))
@@ -683,3 +690,22 @@ class TestValidation:
         p = StaticPressure(SpectralField(grid, c))
         assert np.array_equal(p.coeffs_at(0.0), c)
         assert np.array_equal(p.coeffs_at(0.37), c)
+
+    def test_nan_jacobian_shows_in_the_det_defect(self, grid):
+        """The running maxima keep a NaN instead of dropping it."""
+        ens = make_flow_ensemble(grid, 2, stride=8)
+        ens.jacobians[0, 3, 1, 1] = np.nan
+        run = prepare_action_run(SteadyDrift(taylor_green(grid)), ZeroPressure(grid), nu=NU,
+                                 dt=DT, t_final=2 * DT, driver=BrownianDriver(seed=1, replicas=2),
+                                 ensemble=ens)
+        assert np.isnan(run.det_defect_max)
+
+    def test_nan_pressure_shows_in_the_residual_norm(self, grid):
+        bad = np.zeros((grid.n, grid.n), dtype=complex)
+        bad[1, 0] = np.nan
+        phi = default_multiplier_basis(grid, 2 * DT)[0]
+        el = euler_lagrange_residual(SteadyDrift(taylor_green(grid)),
+                                     StaticPressure(SpectralField(grid, bad)), phi, nu=NU,
+                                     dt=DT, t_final=2 * DT,
+                                     driver=BrownianDriver(seed=1, replicas=2), stride=8)
+        assert np.isnan(el.residual_norm)

@@ -179,6 +179,21 @@ class TestConfig:
             load_config(None, sets=["epsilon_ladder=1e-2"],
                         flags={"experiment": "criticality"})
 
+    @pytest.mark.parametrize("experiment", sorted(DESCRIBED))
+    @pytest.mark.parametrize("item", ["t_final=inf", "nu=nan"])
+    def test_non_finite_numbers_rejected(self, experiment, item):
+        with pytest.raises(ConfigError):
+            load_config(None, sets=[item], flags={"experiment": experiment})
+
+    @pytest.mark.parametrize("times, match", [
+        ("0.2,0.1", "increasing"),
+        ("0.1005,0.2", "step multiple"),
+        ("0.1,0.3", "past t_final"),
+    ], ids=["decreasing", "off-step", "past-t_final"])
+    def test_bad_probe_times_rejected(self, times, match):
+        with pytest.raises(ConfigError, match=match):
+            load_config(None, sets=[f"probe_times={times}"], flags={"experiment": "noether"})
+
     def test_usage_exit_codes(self, tmp_path, capsys):
         assert run_cli("--set", "oops") == 2  # not key=value
         assert run_cli("--config", tmp_path / "missing.cfg",
@@ -187,6 +202,41 @@ class TestConfig:
         assert main([]) == 2  # no experiment anywhere
         err = capsys.readouterr().err
         assert "error:" in err
+
+    # each is rejected by load_config, so no experiment starts
+    BAD_INPUTS = {
+        "flag-not-a-number": ("--experiment", "criticality", "--epsilon-ladder", "abc"),
+        "flag-ladder-entry": ("--experiment", "spde-converge", "--dt-ladder", "0.004,x"),
+        "ns-t_final-inf": ("--experiment", "ns-verify", "--set", "t_final=inf"),
+        "spde-t_final-inf": ("--experiment", "spde-converge", "--set", "t_final=inf"),
+        "nu-nan": ("--experiment", "ns-verify", "--set", "nu=nan", "--set", "t_final=0.01"),
+        "probe-off-step": ("--experiment", "noether", "--set", "probe_times=0.1005,0.2"),
+        "probe-past-t_final": ("--experiment", "noether", "--set", "probe_times=0.1,0.3"),
+        "probe-decreasing": ("--experiment", "noether", "--set", "probe_times=0.2,0.1"),
+        "rising-ladder": ("--experiment", "criticality", "--epsilon-ladder", "5e-3,1e-2"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+    def test_bad_input_exits_2_before_any_work(self, case, tmp_path, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            pytest.fail("an experiment started on a rejected configuration")
+
+        monkeypatch.setattr("svns.cli.ns_solve", refuse)
+        monkeypatch.setattr("svns.cli.strong_error", refuse)
+        assert run_cli(*self.BAD_INPUTS[case], "--out", tmp_path) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+
+    def test_bad_input_prints_no_traceback(self):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-m", "svns.cli", "--experiment", "ns-verify",
+                               "--set", "t_final=inf"],
+                              env=dict(os.environ, PYTHONPATH=path),
+                              capture_output=True, text=True)
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: ")
 
     def test_module_is_runnable(self):
         # the child finds svns in the checkout's src/ whether or not it is installed

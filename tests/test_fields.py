@@ -290,6 +290,17 @@ class TestHalfLayoutKernel:
 
 
 class TestEvaluateAt:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_coefficients_rejected(self, bad):
+        """A NaN or inf would make the trim threshold non-finite and drop
+        every mode, evaluating the stack as zero."""
+        g = F.TorusGrid(16)
+        c = np.zeros((2, g.n, g.n), dtype=complex)
+        c[0, 1, 0] = 1.0
+        c[1, 2, 3] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            F.PointEvaluator(g, c)
+
     def test_matches_analytic_off_grid(self):
         """Direct summation is exact for band-limited fields at random points."""
         g = F.TorusGrid(32)

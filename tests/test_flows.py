@@ -43,7 +43,7 @@ from svns.flows import (
     trapezoid_weights,
 )
 from svns.flows import _EXP_M2, _ndtri, _normals_from_raw
-from svns.solver import NSConfig, SampledDrift, SteadyDrift, ns_solve, taylor_green
+from svns.solver import ForcedDrift, NSConfig, SampledDrift, SteadyDrift, ns_solve, taylor_green
 
 GRID = TorusGrid(32)
 
@@ -578,6 +578,86 @@ class TestGeneralizedDerivative:
         with pytest.raises(ValueError):
             generalized_derivative(IdentityObservable(), ens, drift, 0.02, 2e-3, drv,
                                    eps_steps=0)
+
+
+def reference_branch_quotients(observable, ens, drift, nu, dt, driver, eps_steps, branches):
+    """The branching quotients as an inline Heun loop, each step j starting
+    at t0 + j dt: the reference the shared particle step must reproduce."""
+    eps = eps_steps * dt
+    t0 = ens.t
+    base = observable.values(t0, ens.positions)
+    quot = np.empty((branches,) + base.shape)
+    for b in range(branches):
+        pos = ens.positions.copy()
+        for j in range(eps_steps):
+            tj = t0 + j * dt
+            noise = np.sqrt(2.0 * nu) * driver.branch_increments(ens.step_index + j, b, dt)
+            v1 = drift.velocity(tj, pos)
+            pred = pos + dt * v1 + noise[:, None, :]
+            v2 = drift.velocity(tj + dt, pred)
+            pos = pos + (dt / 2.0) * (v1 + v2) + noise[:, None, :]
+        quot[b] = (observable.values(t0 + eps, pos) - base) / eps
+    return quot
+
+
+class TestSharedStep:
+    """Every particle step - main path, single step, branch - is one Heun step."""
+
+    @pytest.mark.parametrize("forced", [False, True], ids=["sampled", "forced"])
+    def test_branches_match_the_inline_loop_bitwise(self, forced):
+        # half the trajectory's step, so the branches also run between nodes
+        nu, dt = 0.02, 1e-3
+        drift = tg_drift(nu=nu, dt=2 * dt)
+        if forced:
+            force = np.zeros((2, GRID.n, GRID.n), dtype=complex)
+            force[0, 1, 0] = force[0, -1, 0] = 0.5
+            drift = ForcedDrift(drift, SpectralVectorField(GRID, force))
+        drv = BrownianDriver(seed=45, replicas=3)
+        ens = run_flow(make_flow_ensemble(GRID, replicas=3, stride=8), drift, nu, dt, 7, drv)
+        obs = DriftVelocityObservable(drift)
+        est = generalized_derivative(obs, ens, drift, nu, dt, drv, eps_steps=5, branches=4)
+        ref = reference_branch_quotients(obs, ens, drift, nu, dt, drv, 5, 4)
+        np.testing.assert_array_equal(est.samples, ref)
+        np.testing.assert_array_equal(est.mean, ref.mean(axis=0))
+
+    def test_branch_stages_run_at_t0_plus_j_dt(self):
+        """From t0 = 7 dt, t0 + j dt and t0 + dt + ... + dt differ in the last
+        bit from j = 3 on; each branch step j evaluates the drift at exactly
+        t0 + j dt and t0 + j dt + dt."""
+        nu, dt, eps_steps = 0.02, 1e-3, 5
+        drift = uniform_drift(0.3, -0.2)
+        drv = BrownianDriver(seed=46, replicas=2)
+        ens = run_flow(make_flow_ensemble(GRID, replicas=2, stride=16), drift, nu, dt, 7, drv)
+        times = []
+        velocity = drift.velocity
+        drift.velocity = lambda t, points: times.append(t) or velocity(t, points)
+        generalized_derivative(ConstantObservable(1.0), ens, drift, nu, dt, drv,
+                               eps_steps=eps_steps, branches=2)
+        t0 = ens.t
+        stages = [t for j in range(eps_steps) for t in (t0 + j * dt, t0 + j * dt + dt)]
+        assert times == stages * 2
+
+    @pytest.mark.parametrize("jacobians", [True, False])
+    def test_flow_step_is_a_one_step_run(self, jacobians):
+        nu, dt = 0.02, 2e-3
+        drift = tg_drift(nu=nu, dt=dt)
+        drv = BrownianDriver(seed=26, replicas=3)
+        ens = make_flow_ensemble(GRID, replicas=3, stride=8, jacobians=jacobians)
+        ens = run_flow(ens, drift, nu, dt, 3, drv)
+        one = flow_step(ens, drift, nu, dt, drv)
+        run = run_flow(ens, drift, nu, dt, 1, drv)
+        np.testing.assert_array_equal(one.positions, run.positions)
+        if jacobians:
+            np.testing.assert_array_equal(one.jacobians, run.jacobians)
+        else:
+            assert one.jacobians is None and run.jacobians is None
+        assert (one.t, one.step_index) == (run.t, run.step_index)
+
+    def test_nan_jacobian_shows_in_the_divergence_check(self):
+        """The running maximum keeps a NaN instead of dropping it."""
+        ens = make_flow_ensemble(GRID, replicas=2, stride=2)
+        ens.jacobians[1, 5, 0, 0] = np.nan
+        assert np.isnan(inverse_jacobian_divergence_check(ens))
 
 
 class TestEnsembleCheckpoint:

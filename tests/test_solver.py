@@ -28,6 +28,28 @@ class TestNSConfig:
     def test_step_count(self):
         assert S.NSConfig(nu=0.1, dt=1e-3, t_final=0.5).steps == 500
 
+    @pytest.mark.parametrize("key", ["nu", "dt", "t_final"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_rejects_non_finite_parameters(self, key, value):
+        with pytest.raises(ValueError):
+            S.NSConfig(**{**dict(nu=0.1, dt=1e-3, t_final=1.0), key: value})
+
+
+class TestNonFinite:
+    """A NaN in the data raises or shows in the result; it never reads as 0."""
+
+    def test_solve_trips_the_cfl_guard(self):
+        grid = F.TorusGrid(16)
+        c = S.taylor_green(grid).coeffs.copy()
+        c[0, 1, 1] = np.nan
+        with pytest.raises(S.CFLError, match="CFL"):
+            S.ns_solve(F.SpectralVectorField(grid, c), S.NSConfig(nu=0.1, dt=1e-2, t_final=0.02))
+
+    def test_residual_keeps_a_nan(self):
+        traj = tg_trajectory(nu=0.1, dt=1e-2, t_final=0.05, n=16)
+        traj.velocity_coeffs[3, 0, 1, 1] = np.nan
+        assert np.isnan(S.ns_residual(traj))
+
 
 class TestNSRhs:
     def test_taylor_green_tendency_is_linear_decay(self):

@@ -157,6 +157,19 @@ class TestConfigAndState:
         with pytest.raises(ValueError, match="unknown scheme"):
             heun_config(grid, scheme="milstein")
 
+    @pytest.mark.parametrize("key", ["nu", "dt", "t_final"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_rejects_non_finite_parameters(self, grid, key, value):
+        with pytest.raises(ValueError):
+            heun_config(grid, **{key: value})
+
+    def test_nan_state_trips_the_cfl_guard(self, grid, tg):
+        st = make_spde_state(tg, 2)
+        st.coeffs[1, 0, 1, 1] = np.nan
+        cfg = heun_config(grid, replicas=2, scheme="ito")
+        with pytest.raises(CFLError, match="CFL budget"):
+            spde_step_ito(st, cfg, BrownianDriver(seed=3, replicas=2))
+
     def test_step_count(self, grid):
         assert heun_config(grid, dt=1e-3, t_final=0.25).steps == 250
 
