@@ -40,7 +40,7 @@ from .action import (
     trig_vector_mode,
 )
 from .fields import SpectralVectorField, TorusGrid, linf_norm, load_field_snapshot
-from .flows import BrownianDriver
+from .flows import BrownianDriver, _check_branching
 from .noether import (
     SymmetryPair,
     _sample_steps,
@@ -214,6 +214,7 @@ def _validate(cfg: dict) -> None:
             if key in cfg:
                 _check_ladder(cfg[key], key)
         if exp == "noether":
+            _check_branching(cfg["eps_steps"], cfg["branches"])
             _sample_steps(cfg["probe_times"], cfg["dt"])
             if cfg["probe_times"][-1] > cfg["t_final"]:
                 raise ValueError(f"probe time {cfg['probe_times'][-1]} is past "

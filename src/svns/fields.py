@@ -12,7 +12,9 @@ spectral kernel behind the solvers (advection, Leray projection, pressure)
 works on the real-transform half layout, columns k2 = 0..n/2 of a real
 field's coefficients, which holds every independent mode once; conjugate
 symmetry then holds by construction, and public arrays are rebuilt in the
-full layout only where they are stored or returned. Off-grid
+full layout only where they are stored or returned. The Navier-Stokes march
+uses the smaller band layout, only the modes the 2/3 rule keeps, with its
+transforms done as matmuls by cached DFT matrices. Off-grid
 evaluation is direct Fourier summation over the nonzero modes, which is exact
 for band-limited fields. Since only real parts are returned, each stack is
 folded once onto the half plane k2 >= 0 (d_k = c_k + conj(c_{-k})), which
@@ -24,6 +26,7 @@ fixed blocks of points.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 
@@ -96,6 +99,12 @@ class TorusGrid:
             arr.setflags(write=False)
         self.half = _HalfGrid(self)
 
+    @functools.cached_property
+    def band(self) -> _BandGrid:
+        """The band layout and its transform matrices, built on first use:
+        most grids (a loaded snapshot's, say) never march."""
+        return _BandGrid(self)
+
     @property
     def points(self) -> np.ndarray:
         """Grid points as an (n, n, 2) array."""
@@ -135,6 +144,109 @@ class _HalfGrid:
         for arr in (self.k1, self.k2, self.ik1, self.ik2, self.k_squared,
                     self.k_squared_safe, self.dealias_mask):
             arr.setflags(write=False)
+
+
+# OpenBLAS runs a gemm of M N K up to 4 * 65536 multiply-adds on one thread
+# whatever its thread setting (GEMM_MULTITHREAD_THRESHOLD)
+_SERIAL_GEMM = 4 * 65536
+
+
+def _phases(n: int, j: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """e^{2 pi i j k / n} for integer arrays j and k, from the exact phase
+    index (j k) mod n into one table whose entries at m and n - m are exact
+    conjugates, so no roundoff grows with |j k|. The quarter and half turns
+    are exact, so the n/2 entry is real."""
+    m = np.arange(n // 2 + 1)
+    angle = TWO_PI / n * m
+    table = np.empty(n, dtype=np.complex128)
+    table[: n // 2 + 1] = (np.where(4 * m == n, 0.0, np.cos(angle))
+                           + 1j * np.where(2 * m == n, 0.0, np.sin(angle)))
+    table[n // 2 + 1:] = np.conj(table[n // 2 - 1:0:-1])
+    return table[np.mod(np.multiply.outer(j, k), n)]
+
+
+class _BandGrid:
+    """The grid's wavenumber arrays on the band layout, the modes the 2/3
+    rule keeps, with the dense DFT matrices between that band and the grid.
+
+    Rows hold k1 = 0..K, -K..-1 (FFT order, row 0 is k1 = 0), columns
+    k2 = 0..K, with K = (n - 1) // 3, the largest |k| below n/3. These are
+    the only half-layout modes a dealiased real field can carry, so a
+    product formed on the grid is dealiased by transforming onto them
+    alone. At small n a transform is cheaper as a matmul with a
+    cached (2K+1) x n or n x (K+1) matrix than as an FFT, whose fixed cost
+    per axis pass dominates (Canuto et al., Spectral Methods, 2006, sec. 3);
+    grids too large for a single-threaded matmul transform by pocketfft.
+    The attribute names match TorusGrid's, so mode-local functions accept
+    this layout too.
+    """
+
+    def __init__(self, grid: TorusGrid):
+        n = grid.n
+        big_k = (n - 1) // 3
+        self.n = n
+        self.K = big_k
+        # full-layout rows of the band rows, and each band row's -k1 row
+        self.rows = np.r_[0:big_k + 1, n - big_k:n]
+        self.neg_rows = np.r_[0, 2 * big_k:0:-1]
+        k1 = grid.k[self.rows]
+        k2 = np.arange(big_k + 1)
+        self.k1, self.k2 = (a.astype(np.float64) for a in np.meshgrid(k1, k2, indexing="ij"))
+        self.ik1 = 1j * self.k1
+        self.ik2 = 1j * self.k2
+        self.k_squared = self.k1**2 + self.k2**2
+        self.k_squared_safe = self.k_squared.copy()
+        self.k_squared_safe[0, 0] = 1.0
+        # -(I - k k^T / |k|^2) per mode as (2, 2, 2K+1, K+1), -I at k = 0:
+        # the projected nonlinearity of the march in one product and a sum
+        kk = np.stack([self.k1, self.k2])
+        self.minus_leray = (kk[:, None] * kk[None, :] / self.k_squared_safe
+                            - np.eye(2)[..., None, None])
+        for arr in (self.rows, self.neg_rows, self.k1, self.k2, self.ik1, self.ik2,
+                    self.k_squared, self.k_squared_safe, self.minus_leray):
+            arr.setflags(write=False)
+        # the largest matmul of a transform (the inverse columns step) is
+        # (2n x 4(K+1)) times (4(K+1) x n); above _SERIAL_GEMM OpenBLAS splits a
+        # gemm's output between threads, and the entries at the edges of the
+        # split round differently, so larger grids transform by pocketfft
+        # (single-threaded, and the cheaper one there) to keep the march
+        # independent of the thread count
+        self.matmul = 2 * n * 4 * (big_k + 1) * n <= _SERIAL_GEMM
+        if not self.matmul:
+            return
+        # The transforms are real matmuls on complex arrays viewed as float64,
+        # whose last axis interleaves (Re, Im). With E = e^{i k1 x1} (n, 2K+1)
+        # over [E; E ik1] and c = (2K+1, K+1) band coefficients, the rows
+        # step forms Er c and Ei c, interleaved row by row so that each grid
+        # row j holds [Er_j c | Ei_j c]; the columns step then takes
+        # Re((Er c + i Ei c) T) for the column phases T = w e^{i k2 x2}, w = 1
+        # at k2 = 0 and 2 above, with d2 as the columns step for ik2 T.
+        j = np.arange(n)
+        e1 = _phases(n, j, k1)
+        e1 = np.concatenate([e1, e1 * (1j * k1)])
+        self.inv_rows = np.stack([e1.real, e1.imag], axis=1).reshape(4 * n, -1)
+        e2 = _phases(n, k2, j) * np.where(k2 == 0, 1.0, 2.0)[:, None]
+        self.inv_cols = np.concatenate([_real_part_rows(e2), _real_part_rows(1j * e2)])
+        e2 = 1j * k2[:, None] * e2
+        self.inv_cols_d2 = np.concatenate([_real_part_rows(e2), _real_part_rows(1j * e2)])
+        # forward: values times [T | i T] for T = e^{-i k2 x2} / n^2 gives,
+        # per grid row, the interleaved B and i B; B's rows then meet
+        # F = e^{-i k1 x1} as F.view(float64), whose columns pair (Fr, Fi)
+        e3 = np.conj(_phases(n, j, k2)) / (n * n)
+        self.fwd_cols = np.concatenate([e3, 1j * e3], axis=1).view(np.float64)
+        self.fwd_rows = np.conj(_phases(n, k1, j)).view(np.float64)
+        for arr in (self.inv_rows, self.inv_cols, self.inv_cols_d2, self.fwd_cols,
+                    self.fwd_rows):
+            arr.setflags(write=False)
+
+
+def _real_part_rows(t: np.ndarray) -> np.ndarray:
+    """The real (2p, q) matrix r with z.view(float64) @ r = Re(z @ t) for
+    complex z (..., p) and t (p, q): rows Re t and -Im t, interleaved."""
+    out = np.empty((2 * t.shape[0], t.shape[1]))
+    out[0::2] = t.real
+    out[1::2] = -t.imag
+    return out
 
 
 def _check_coeffs(grid: TorusGrid, coeffs: np.ndarray, ncomp: int | None) -> np.ndarray:
@@ -259,6 +371,65 @@ def _advection_half(grid: TorusGrid, c: np.ndarray | None, values: np.ndarray | 
     return out
 
 
+def _to_band(grid: TorusGrid, c: np.ndarray) -> np.ndarray:
+    """The band-layout modes of full- or half-layout coefficients."""
+    return np.ascontiguousarray(c[..., grid.band.rows, : grid.band.K + 1])
+
+
+def _band_to_full(grid: TorusGrid, cb: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The full layout of band-layout coefficients of a real field (into
+    `out` when given): zero off the band, and the mirror columns k2 < 0 are
+    conj values at the negated wavenumber, as in _to_full."""
+    n, big_k = grid.n, grid.band.K
+    if out is None:
+        out = np.empty(cb.shape[:-2] + (n, n), dtype=np.complex128)
+    out[...] = 0.0
+    mirror = np.conj(cb[..., grid.band.neg_rows, big_k:0:-1])
+    for full, band in ((slice(0, big_k + 1), slice(0, big_k + 1)),
+                       (slice(n - big_k, n), slice(big_k + 1, None))):
+        out[..., full, : big_k + 1] = cb[..., band, :]
+        out[..., full, n - big_k:] = mirror[..., band, :]
+    return out
+
+
+def _band_values(grid: TorusGrid, cb: np.ndarray):
+    """Grid values of band-layout coefficients (..., 2K+1, K+1), whose last
+    axis must be contiguous, and of their d1 and d2 derivatives, each
+    (..., n, n): one real matmul over the rows, then one over the columns
+    for v and d1 v and one for d2 v (pocketfft on grids too large for a
+    serial matmul)."""
+    b, n = grid.band, grid.n
+    if not b.matmul:
+        half = np.zeros(cb.shape[:-2] + (n, n // 2 + 1), dtype=np.complex128)
+        half[..., b.rows, : b.K + 1] = cb
+        return tuple(np.fft.irfft2(m * half, s=(n, n), norm="forward")
+                     for m in (1.0, grid.half.ik1, grid.half.ik2))
+    x = b.inv_rows @ cb.view(np.float64)
+    x = x.reshape(x.shape[:-2] + (2 * n, -1))
+    rows = x @ b.inv_cols
+    return rows[..., :n, :], rows[..., n:, :], x[..., :n, :] @ b.inv_cols_d2
+
+
+def _band_transform(grid: TorusGrid, values: np.ndarray) -> np.ndarray:
+    """Band-layout coefficients of real grid values (..., n, n): the forward
+    transform restricted to the band, which is the 2/3-rule dealiasing."""
+    b, n = grid.band, grid.n
+    if not b.matmul:
+        return _to_band(grid, np.fft.rfft2(values, norm="forward"))
+    y = values @ b.fwd_cols
+    return (b.fwd_rows @ y.reshape(y.shape[:-2] + (2 * n, -1))).view(np.complex128)
+
+
+def _advection_band(grid: TorusGrid, c: np.ndarray):
+    """Dealiased (v . grad) v of band-layout coefficients c (..., 2, 2K+1, K+1),
+    and the grid values of v (..., 2, n, n)."""
+    w, d1, d2 = _band_values(grid, c)
+    prod = w[..., :1, :, :] * d1
+    d2 *= w[..., 1:, :, :]
+    prod += d2
+    return _band_transform(grid, prod), w
+
+
 def transform(grid: TorusGrid, values: np.ndarray) -> SpectralField:
     """Scalar grid values -> spectral coefficients."""
     values = np.asarray(values, dtype=np.float64)
@@ -339,13 +510,19 @@ def jacobian_matrix(v: SpectralVectorField) -> np.ndarray:
 
 
 def _layout(grid: TorusGrid, c: np.ndarray):
-    """The wavenumber arrays matching c's trailing axis: full or half layout."""
-    return grid if c.shape[-1] == grid.n else grid.half
+    """The wavenumber arrays matching c's trailing axis: n for the full
+    layout, n/2 + 1 for the half and K + 1 for the band, distinct for every
+    even n >= 4."""
+    width = c.shape[-1]
+    if width == grid.n:
+        return grid
+    return grid.half if width == grid.half.h else grid.band
 
 
 def _leray(grid: TorusGrid, c: np.ndarray) -> np.ndarray:
-    """Apply I - k k^T / |k|^2 modewise to (..., 2, n, n) full or
-    (..., 2, n, h) half-layout coefficients; the k = 0 mode passes through."""
+    """Apply I - k k^T / |k|^2 modewise to (..., 2, n, n) full, (..., 2, n, h)
+    half or (..., 2, 2K+1, K+1) band-layout coefficients; the k = 0 mode
+    passes through."""
     m = _layout(grid, c)
     c1 = c[..., 0, :, :]
     c2 = c[..., 1, :, :]
@@ -354,14 +531,15 @@ def _leray(grid: TorusGrid, c: np.ndarray) -> np.ndarray:
 
 
 def _inverse_laplacian(grid: TorusGrid, c: np.ndarray) -> np.ndarray:
-    """phi with -Delta phi = c in the mean-zero gauge, either layout."""
+    """phi with -Delta phi = c in the mean-zero gauge, any layout."""
     phi = c / _layout(grid, c).k_squared_safe
     phi[..., 0, 0] = 0.0
     return phi
 
 
 def _pressure(grid: TorusGrid, adv: np.ndarray) -> np.ndarray:
-    """Mean-zero p with -Delta p = div((v . grad) v), adv (..., 2, n, n|h)."""
+    """Mean-zero p with -Delta p = div((v . grad) v), adv (..., 2, ...) in any
+    layout."""
     m = _layout(grid, adv)
     return _inverse_laplacian(grid, 1j * (m.k1 * adv[..., 0, :, :] + m.k2 * adv[..., 1, :, :]))
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from .fields import (TWO_PI, PhaseTable, PointEvaluator, SpectralField, TorusGrid,
                      _read_checkpoint, _scatter_rows, _write_checkpoint, mean_value)
-from .solver import DriftField, _horizon_steps
+from .solver import DriftField, _check_step, _horizon_steps
 
 __all__ = [
     "BrownianDriver",
@@ -278,6 +278,7 @@ def flow_step(ens: FlowEnsemble, drift: DriftField, nu: float, dt: float,
     The Brownian increment for (replica, step) comes from the driver's
     counter, so stepping is deterministic in (seed, step_index).
     """
+    _check_step(nu, dt)
     if driver.replicas != ens.replicas:
         raise ValueError("driver and ensemble disagree on the replica count")
     v1, h1 = _drift_at(ens, drift, ens.positions)
@@ -376,6 +377,7 @@ def run_flow(ens: FlowEnsemble, drift: DriftField, nu: float, dt: float,
     before the step, so no table outlives its node; the predictor stage
     builds one table of its own.
     """
+    _check_step(nu, dt)
     if weights is not None and len(weights) != steps + 1:
         raise ValueError("weights must have steps+1 entries")
     if driver.replicas != ens.replicas:
@@ -518,6 +520,15 @@ class BranchEstimate:
     samples: np.ndarray | None = None
 
 
+def _check_branching(eps_steps: int, branches: int) -> None:
+    """ValueError unless a branching probe spans at least one step and has
+    at least two branches for its standard error."""
+    if eps_steps < 1:
+        raise ValueError(f"eps must span at least one step, got eps_steps = {eps_steps}")
+    if branches < 2:
+        raise ValueError(f"need at least 2 branches for a standard error, got {branches}")
+
+
 def generalized_derivative(observable, ens: FlowEnsemble, drift: DriftField,
                            nu: float, dt: float, driver: BrownianDriver,
                            eps_steps: int = 8, branches: int = 16,
@@ -531,10 +542,8 @@ def generalized_derivative(observable, ens: FlowEnsemble, drift: DriftField,
     spread over sqrt(branches), so the statistical error shrinks like
     1/sqrt(branches) at fixed eps, on top of an O(eps) quotient bias.
     """
-    if eps_steps < 1:
-        raise ValueError("eps must span at least one step")
-    if branches < 2:
-        raise ValueError("need at least 2 branches for a standard error")
+    _check_step(nu, dt)
+    _check_branching(eps_steps, branches)
     eps = eps_steps * dt
     t0 = ens.t
     base = observable.values(t0, ens.positions)

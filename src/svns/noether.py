@@ -55,7 +55,7 @@ from .flows import (
     make_flow_ensemble,
     run_flow,
 )
-from .solver import _NODE_CHUNK, DriftField, NSTrajectory, _step_count
+from .solver import _NODE_CHUNK, DriftField, NSTrajectory, _check_step, _step_count
 
 __all__ = [
     "ConstantEnvelope",
@@ -334,6 +334,7 @@ def martingale_probe(pair: SymmetryPair, drift: DriftField, *, nu: float,
     should vanish within error bars at every time. Sample times must be
     nonnegative ascending step multiples.
     """
+    _check_step(nu, dt)
     segments = _sample_steps(sample_times, dt)
     obs = _ChargeObservable(pair, drift)
     ens = make_flow_ensemble(pair.grid, driver.replicas, stride=stride, jacobians=False)

@@ -7,12 +7,17 @@ viscous semigroup exp(-nu |k|^2 dt) applied exactly, classical RK4 on the
 transformed nonlinearity). The advection product is formed on the grid and
 dealiased by the 2/3 rule before Leray projection; pressure is recovered
 diagnostically from -Delta p = div((v . grad) v) in the mean-zero gauge.
-All of this runs on the real-transform half layout of the fields module;
-a solve advects each node once and shares that product between the CFL
-check, the stored tendency and pressure, and the first RK4 stage.
-Stored trajectories keep velocity, pressure, and the projected right-hand
-side at every node so that time interpolation is cubic Hermite with exact
-nodal derivatives, never finite differences.
+The march (ns_solve, ns_step, ns_rhs) runs on the band layout of the
+fields module, the (2K+1) x (K+1) half-plane modes the 2/3 rule keeps,
+with transforms by matmul against cached DFT matrices; a solve advects
+each node once and shares that product between the CFL check, the stored
+tendency and pressure, and the first RK4 stage. Fields with modes beyond
+the band are refused rather than truncated. Stored trajectories keep the
+full layout, written a block of nodes at a time, with velocity, pressure,
+and the projected right-hand side at every node so that time interpolation
+is cubic Hermite with exact nodal derivatives, never finite differences.
+The momentum residual recomputes advection with the half-layout pocketfft
+kernel, so it checks the march independently.
 """
 
 from __future__ import annotations
@@ -28,16 +33,18 @@ from .fields import (
     SpectralField,
     SpectralVectorField,
     TorusGrid,
+    _advection_band,
     _advection_half,
+    _band_to_full,
     _fft,
     _ifft,
     _leray,
     _pressure,
     _read_checkpoint,
     _scatter_rows,
+    _to_band,
     _to_full,
     _to_half,
-    _values_half,
     _write_checkpoint,
     enforce_conjugate_symmetry,
     jacobian_matrix,
@@ -80,15 +87,22 @@ def _step_count(span: float, dt: float, message: str) -> int:
     return int(round(steps))
 
 
-def _horizon_steps(nu: float, dt: float, t_final: float) -> int:
-    """Step count of a run with viscosity nu and step dt to t_final;
-    ValueError unless nu is finite and nonnegative, dt finite and positive,
-    and t_final positive and an integer multiple of dt."""
+def _check_step(nu: float, dt: float) -> None:
+    """ValueError unless the viscosity nu is finite and nonnegative and the
+    step dt finite and positive."""
     if not (np.isfinite(nu) and nu >= 0):
         raise ValueError(f"viscosity must be finite and nonnegative, got {nu}")
-    if not (np.isfinite(dt) and dt > 0 and t_final > 0):
-        raise ValueError(f"dt must be finite and positive and t_final positive, got "
-                         f"dt = {dt}, t_final = {t_final}")
+    if not (np.isfinite(dt) and dt > 0):
+        raise ValueError(f"dt must be finite and positive, got dt = {dt}")
+
+
+def _horizon_steps(nu: float, dt: float, t_final: float) -> int:
+    """Step count of a run with viscosity nu and step dt to t_final;
+    ValueError unless _check_step passes and t_final is positive and an
+    integer multiple of dt."""
+    _check_step(nu, dt)
+    if not t_final > 0:
+        raise ValueError(f"t_final must be positive, got t_final = {t_final}")
     return _step_count(t_final, dt,
                        f"t_final = {t_final} is not an integer multiple of dt = {dt}")
 
@@ -125,43 +139,67 @@ class NSConfig:
 # right-hand side and single step
 # ---------------------------------------------------------------------------
 
-def _node_half(grid: TorusGrid, ch: np.ndarray, nu: float,
-               values: np.ndarray | None = None):
-    """The advection-derived parts of one node on the half layout:
-    (-P[(v . grad) v], the tendency nu Delta v - P[(v . grad) v], pressure)."""
-    adv = _advection_half(grid, ch, values)
-    nonlinear = -_leray(grid, adv)
-    return nonlinear, nonlinear - nu * grid.half.k_squared * ch, _pressure(grid, adv)
+def _check_band(grid: TorusGrid, c: np.ndarray, what: str) -> None:
+    """ValueError if full-layout c carries modes beyond the 2/3 band (above
+    1e-12 of its largest coefficient): the band march cannot hold them."""
+    scale = max(1.0, float(np.max(np.abs(c))))
+    if np.max(np.abs(c[..., ~grid.dealias_mask]), initial=0.0) > 1e-12 * scale:
+        raise ValueError(f"{what} carries modes beyond the dealiasing band")
+
+
+def _projected_band(grid: TorusGrid, adv: np.ndarray, forcing: np.ndarray | None) -> np.ndarray:
+    """-P[adv] + f on the band layout, the Leray projection as one product
+    with the band's precomputed -(I - k k^T / |k|^2) and a sum."""
+    terms = grid.band.minus_leray * adv[..., None, :, :, :]
+    out = terms[..., 0, :, :]
+    out += terms[..., 1, :, :]
+    if forcing is not None:
+        out += forcing
+    return out
+
+
+def _node_band(grid: TorusGrid, cb: np.ndarray, nu: float, forcing: np.ndarray | None):
+    """One node of the band march: the first RK4 stage -P[(v . grad) v] + f,
+    the tendency nu Delta v - P[(v . grad) v] + f, the pressure, and the grid
+    values of v for the CFL check."""
+    adv, w = _advection_band(grid, cb)
+    nonlinear = _projected_band(grid, adv, forcing)
+    return nonlinear, nonlinear - nu * grid.band.k_squared * cb, _pressure(grid, adv), w
 
 
 def _viscous_factors(grid: TorusGrid, nu: float, dt: float):
-    """exp(-nu |k|^2 dt/2) and exp(-nu |k|^2 dt) on the half layout."""
-    e_half = np.exp(-nu * grid.half.k_squared * (dt / 2.0))
-    return e_half, e_half * e_half
+    """The band-layout factors of an IF-RK4 step: exp(-nu |k|^2 dt/2),
+    exp(-nu |k|^2 dt) and their multiples the step combines, complex so
+    that no product with the state casts them per call."""
+    e_half = np.exp(-nu * grid.band.k_squared * (dt / 2.0))
+    e_full = e_half * e_half
+    return tuple(f.astype(np.complex128) for f in (e_half, e_full, dt * e_half, 2.0 * e_half))
 
 
-def _stage(grid: TorusGrid, ch: np.ndarray, forcing: np.ndarray | None) -> np.ndarray:
-    """An RK4 stage: -P[(v . grad) v] plus the forcing, half layout."""
-    out = -_leray(grid, _advection_half(grid, ch))
-    return out if forcing is None else out + forcing
-
-
-def _rk4_half(grid: TorusGrid, ch: np.ndarray, k1: np.ndarray, dt: float,
+def _rk4_band(grid: TorusGrid, cb: np.ndarray, k1: np.ndarray, dt: float,
               factors, forcing: np.ndarray | None) -> np.ndarray:
-    """One integrating-factor RK4 step of half-layout ch whose first stage
-    (the projected nonlinearity plus forcing at ch) is k1."""
-    e_half, e_full = factors
-    k2 = _stage(grid, e_half * (ch + (dt / 2.0) * k1), forcing)
-    k3 = _stage(grid, e_half * ch + (dt / 2.0) * k2, forcing)
-    k4 = _stage(grid, e_full * ch + dt * e_half * k3, forcing)
-    return e_full * ch + (dt / 6.0) * (e_full * k1 + 2.0 * e_half * (k2 + k3) + k4)
+    """One integrating-factor RK4 step of band-layout cb whose first stage
+    (the projected nonlinearity plus forcing at cb) is k1."""
+    e_half, e_full, dt_e_half, two_e_half = factors
+
+    def stage(c):
+        return _projected_band(grid, _advection_band(grid, c)[0], forcing)
+
+    k2 = stage(e_half * (cb + (dt / 2.0) * k1))
+    k3 = stage(e_half * cb + (dt / 2.0) * k2)
+    k4 = stage(e_full * cb + dt_e_half * k3)
+    return e_full * cb + (dt / 6.0) * (e_full * k1 + two_e_half * (k2 + k3) + k4)
 
 
 def ns_rhs(v: SpectralVectorField, nu: float) -> tuple[SpectralVectorField, SpectralField]:
-    """Projected tendency nu Delta v - P[(v . grad) v] and the diagnostic pressure."""
+    """Projected tendency nu Delta v - P[(v . grad) v] and the diagnostic pressure.
+
+    v must be dealiased: ValueError if it carries modes beyond the 2/3 band.
+    """
     g = v.grid
-    _, rhs, p = _node_half(g, _to_half(g, v.coeffs), nu)
-    return SpectralVectorField(g, _to_full(g, rhs)), SpectralField(g, _to_full(g, p))
+    _check_band(g, v.coeffs, "velocity")
+    _, rhs, p, _ = _node_band(g, _to_band(g, v.coeffs), nu, None)
+    return SpectralVectorField(g, _band_to_full(g, rhs)), SpectralField(g, _band_to_full(g, p))
 
 
 def ns_step(v: SpectralVectorField, nu: float, dt: float,
@@ -170,18 +208,30 @@ def ns_step(v: SpectralVectorField, nu: float, dt: float,
 
     The viscous factor exp(-nu |k|^2 dt) is applied exactly, so a step with
     zero nonlinearity reproduces the heat semigroup to roundoff. A constant
-    forcing enters every stage like the nonlinearity.
+    forcing enters every stage like the nonlinearity. v and the forcing must
+    be dealiased: ValueError if either carries modes beyond the 2/3 band.
     """
     g = v.grid
-    ch = _to_half(g, v.coeffs)
-    fh = None if forcing is None else _to_half(g, forcing)
-    out = _rk4_half(g, ch, _stage(g, ch, fh), dt, _viscous_factors(g, nu, dt), fh)
-    return SpectralVectorField(g, _to_full(g, out))
+    _check_band(g, v.coeffs, "velocity")
+    fb = None
+    if forcing is not None:
+        _check_band(g, forcing, "forcing")
+        fb = _to_band(g, forcing)
+    cb = _to_band(g, v.coeffs)
+    k1 = _node_band(g, cb, nu, fb)[0]
+    out = _rk4_band(g, cb, k1, dt, _viscous_factors(g, nu, dt), fb)
+    return SpectralVectorField(g, _band_to_full(g, out))
 
 
 # ---------------------------------------------------------------------------
 # trajectories
 # ---------------------------------------------------------------------------
+
+# nodes per block of the march's full-layout writes and of the trajectory
+# diagnostics: bounds their temporaries to a few MB whatever the trajectory
+# length
+_NODE_CHUNK = 32
+
 
 def _node_parseval(c: np.ndarray, weight: np.ndarray | None = None) -> np.ndarray:
     """(2 pi)^2 sum_k w_k |c_k|^2 for each node of a (nodes, 2, n, n) stack
@@ -248,14 +298,14 @@ def ns_solve(v0: SpectralVectorField, config: NSConfig,
     div0 = np.max(np.abs(g.k1 * v0.coeffs[0] + g.k2 * v0.coeffs[1]))
     if div0 > 1e-10 * scale:
         raise ValueError("initial velocity is not divergence-free")
-    if np.max(np.abs(v0.coeffs[:, ~g.dealias_mask]), initial=0.0) > 1e-12 * scale:
-        raise ValueError("initial velocity carries modes beyond the dealiasing band")
-    fc = None
+    _check_band(g, v0.coeffs, "initial velocity")
+    fb = None
     if forcing is not None:
         fc = enforce_conjugate_symmetry(forcing.coeffs * g.dealias_mask)
         fscale = max(1.0, float(np.max(np.abs(fc))))
         if np.max(np.abs(g.k1 * fc[0] + g.k2 * fc[1])) > 1e-10 * fscale:
             raise ValueError("forcing is not divergence-free")
+        fb = _to_band(g, fc)
 
     m = config.steps
     times = np.arange(m + 1) * config.dt
@@ -263,13 +313,15 @@ def ns_solve(v0: SpectralVectorField, config: NSConfig,
     prs = np.empty((m + 1, g.n, g.n), dtype=np.complex128)
     rhs = np.empty((m + 1, 2, g.n, g.n), dtype=np.complex128)
 
-    # the state lives on the half layout; each node is written straight into
-    # the full-layout arrays, so no half-layout copy of the trajectory exists
-    ch = _to_half(g, enforce_conjugate_symmetry(v0.coeffs * g.dealias_mask))
-    fh = None if fc is None else _to_half(g, fc)
+    # the state lives on the band layout; nodes collect in band buffers of
+    # _NODE_CHUNK nodes that are scattered to the full-layout arrays a block
+    # at a time, so no band copy of the trajectory exists
+    cb = _to_band(g, enforce_conjugate_symmetry(v0.coeffs * g.dealias_mask))
+    blocks = [np.empty((min(_NODE_CHUNK, m + 1),) + a.shape[1:-2] + cb.shape[-2:],
+                       dtype=np.complex128) for a in (vel, prs, rhs)]
     factors = _viscous_factors(g, config.nu, config.dt)
     for i in range(m + 1):
-        w = _values_half(g, ch)
+        nonlinear, r, p, w = _node_band(g, cb, config.nu, fb)
         maxv = float(np.max(np.abs(w)))
         cfl = config.dt * maxv * g.n / (2.0 * np.pi)
         if not cfl <= config.cfl_limit:  # NaN trips it too
@@ -277,21 +329,15 @@ def ns_solve(v0: SpectralVectorField, config: NSConfig,
                 f"CFL number {cfl:.3f} exceeds limit {config.cfl_limit} at "
                 f"t = {times[i]:.6g} (max|v| = {maxv:.3g}, dt = {config.dt})"
             )
-        nonlinear, r, p = _node_half(g, ch, config.nu, w)
-        if fh is not None:
-            nonlinear = nonlinear + fh
-            r = r + fh
-        _to_full(g, ch, out=vel[i])
-        _to_full(g, p, out=prs[i])
-        _to_full(g, r, out=rhs[i])
+        j = i % _NODE_CHUNK
+        for block, node in zip(blocks, (cb, p, r)):
+            block[j] = node
+        if j == _NODE_CHUNK - 1 or i == m:
+            for block, full in zip(blocks, (vel, prs, rhs)):
+                _band_to_full(g, block[:j + 1], out=full[i - j:i + 1])
         if i < m:
-            ch = _rk4_half(g, ch, nonlinear, config.dt, factors, fh)
+            cb = _rk4_band(g, cb, nonlinear, config.dt, factors, fb)
     return NSTrajectory(g, config.nu, times, vel, prs, rhs)
-
-
-# nodes per batch of the trajectory diagnostics: bounds their temporaries
-# to a few MB whatever the trajectory length
-_NODE_CHUNK = 32
 
 
 def ns_residual(traj: NSTrajectory) -> float:

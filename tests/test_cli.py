@@ -214,6 +214,8 @@ class TestConfig:
         "probe-past-t_final": ("--experiment", "noether", "--set", "probe_times=0.1,0.3"),
         "probe-decreasing": ("--experiment", "noether", "--set", "probe_times=0.2,0.1"),
         "rising-ladder": ("--experiment", "criticality", "--epsilon-ladder", "5e-3,1e-2"),
+        "noether-one-branch": ("--experiment", "noether", "--branches", "1"),
+        "noether-zero-eps-steps": ("--experiment", "noether", "--eps-steps", "0"),
     }
 
     @pytest.mark.parametrize("case", sorted(BAD_INPUTS))

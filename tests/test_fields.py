@@ -289,6 +289,75 @@ class TestHalfLayoutKernel:
             assert max(F.conjugate_defect(c) for c in arrays) <= 1e-15
 
 
+def _band_limited(grid, seed, ncomp=2):
+    """Conjugate-symmetric full-layout coefficients of a random real field on
+    the dealiasing band, shape (ncomp, n, n)."""
+    rng = np.random.default_rng(seed)
+    shape = (ncomp, grid.n, grid.n)
+    c = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * grid.dealias_mask
+    return F.enforce_conjugate_symmetry(c)
+
+
+# matmul transforms up to n = 44, pocketfft from 46 on
+BAND_SIZES = [4, 6, 8, 30, 32, 44, 46, 64]
+
+
+class TestBandLayoutKernel:
+    @pytest.mark.parametrize("n", BAND_SIZES)
+    def test_band_shape_and_layout(self, n):
+        grid = F.TorusGrid(n)
+        big_k = (n - 1) // 3
+        assert grid.band.K == big_k and 3 * big_k < n <= 3 * (big_k + 1)
+        assert grid.band.k1.shape == (2 * big_k + 1, big_k + 1)
+        assert grid.band.k1[0, 0] == 0 and grid.band.k1[-1, 0] == -1
+        assert np.array_equal(grid.band.k1, grid.k1[grid.band.rows, : big_k + 1])
+        assert grid.band.matmul == (n <= 44)
+        for c, m in ((np.zeros((2, n, n)), grid), (np.zeros((2, n, n // 2 + 1)), grid.half),
+                     (np.zeros((2, 2 * big_k + 1, big_k + 1)), grid.band)):
+            assert F._layout(grid, c) is m
+
+    @pytest.mark.parametrize("n", BAND_SIZES)
+    def test_transforms_match_pocketfft(self, n):
+        """The matmul transforms between band and grid agree with irfft2 and
+        rfft2 (including the d1 and d2 rows) to 1e-14 relative."""
+        grid = F.TorusGrid(n)
+        c = _band_limited(grid, seed=n)
+        half = F._to_half(grid, c)
+        got = F._band_values(grid, F._to_band(grid, c))
+        for g, mult in zip(got, (1.0, grid.half.ik1, grid.half.ik2)):
+            ref = np.fft.irfft2(mult * half, s=(n, n), norm="forward")
+            assert np.max(np.abs(g - ref)) <= 1e-14 * np.abs(ref).max()
+        vals = np.random.default_rng(n + 1).standard_normal((3, n, n))
+        ref = F._to_band(grid, np.fft.rfft2(vals, norm="forward"))
+        assert np.max(np.abs(F._band_transform(grid, vals) - ref)) <= 1e-14 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("n", BAND_SIZES)
+    def test_band_full_round_trip_is_exact(self, n):
+        grid = F.TorusGrid(n)
+        c = _band_limited(grid, seed=n, ncomp=3)
+        band = F._to_band(grid, c)
+        assert np.array_equal(F._band_to_full(grid, band), c)
+        out = np.full(c.shape, np.nan, dtype=complex)
+        assert F._band_to_full(grid, band, out=out) is out
+        assert np.array_equal(out, c)
+        assert np.array_equal(F._to_band(grid, F._to_half(grid, c)), band)
+
+    @settings(max_examples=40, deadline=None)
+    @given(_real_coeffs(dealiased=True))
+    def test_advection_matches_full_layout_reference(self, case):
+        grid, c = case
+        ref_adv, ref_p = _reference_advection_pressure(grid, c)
+        adv, w = F._advection_band(grid, F._to_band(grid, c))
+        ref_w = F._ifft(c)
+        assert np.max(np.abs(w - ref_w)) <= 1e-13 * np.abs(ref_w).max()
+        for got, ref in ((F._band_to_full(grid, adv), ref_adv),
+                         (F._band_to_full(grid, F._pressure(grid, adv)), ref_p)):
+            assert np.max(np.abs(got - ref)) <= 1e-13 * max(np.abs(ref).max(), 1e-300)
+        full = F._leray(grid, c)
+        band = F._leray(grid, F._to_band(grid, c))
+        assert np.max(np.abs(band - F._to_band(grid, full))) <= 1e-15 * np.abs(c).max()
+
+
 class TestEvaluateAt:
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_coefficients_rejected(self, bad):

@@ -600,6 +600,43 @@ def reference_branch_quotients(observable, ens, drift, nu, dt, driver, eps_steps
     return quot
 
 
+class TestStepParameters:
+    """The public flow API checks nu and dt like the observed passes do."""
+
+    BAD = {"dt-zero": (0.02, 0.0), "dt-nan": (0.02, np.nan), "nu-negative": (-0.1, 2e-3)}
+
+    @staticmethod
+    def _calls(nu, dt):
+        from svns.noether import martingale_probe, translation_pair
+
+        drift = uniform_drift(0.1, -0.2, grid=TorusGrid(8))
+        ens = make_flow_ensemble(drift.grid, replicas=2, stride=4, jacobians=False)
+        drv = BrownianDriver(seed=3, replicas=2)
+        return {
+            "run_flow": lambda: run_flow(ens, drift, nu, dt, 2, drv),
+            "flow_step": lambda: flow_step(ens, drift, nu, dt, drv),
+            "generalized_derivative": lambda: generalized_derivative(
+                IdentityObservable(), ens, drift, nu, dt, drv, eps_steps=2, branches=2),
+            "martingale_probe": lambda: martingale_probe(
+                translation_pair(drift.grid, 0), drift, nu=nu, dt=dt, driver=drv,
+                sample_times=(0.004,), stride=4, eps_steps=2, branches=2),
+        }
+
+    @pytest.mark.parametrize("case", sorted(BAD))
+    @pytest.mark.parametrize("fn", ["run_flow", "flow_step", "generalized_derivative",
+                                    "martingale_probe"])
+    def test_bad_viscosity_or_step_rejected(self, fn, case):
+        nu, dt = self.BAD[case]
+        match = "viscosity" if nu < 0 else "dt must be finite and positive"
+        with pytest.raises(ValueError, match=match):
+            self._calls(nu, dt)[fn]()
+
+    @pytest.mark.parametrize("fn", ["run_flow", "flow_step", "generalized_derivative",
+                                    "martingale_probe"])
+    def test_good_values_run(self, fn):
+        self._calls(0.02, 2e-3)[fn]()
+
+
 class TestSharedStep:
     """Every particle step - main path, single step, branch - is one Heun step."""
 

@@ -1,6 +1,10 @@
 """Tests for the spectral Navier-Stokes solver and drift-path sampling."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -188,6 +192,117 @@ class TestNSSolve:
         traj = S.ns_solve(v0, S.NSConfig(nu=0.05, dt=1e-3, t_final=0.05))
         outside = traj.velocity_coeffs[:, :, ~grid.dealias_mask]
         assert np.max(np.abs(outside)) < 1e-13
+
+
+def reference_half_solve(v0, config, forcing=None):
+    """The half-layout IF-RK4 march with pocketfft transforms that ns_solve
+    ran before the band layout: (velocity, pressure, tendency) per node."""
+    g = v0.grid
+
+    def stage(ch):
+        out = -F._leray(g, F._advection_half(g, ch))
+        return out if fh is None else out + fh
+
+    ch = F._to_half(g, F.enforce_conjugate_symmetry(v0.coeffs * g.dealias_mask))
+    fh = None if forcing is None else F._to_half(
+        g, F.enforce_conjugate_symmetry(forcing.coeffs * g.dealias_mask))
+    e_half = np.exp(-config.nu * g.half.k_squared * (config.dt / 2.0))
+    e_full = e_half * e_half
+    dt = config.dt
+    out = ([], [], [])
+    for i in range(config.steps + 1):
+        adv = F._advection_half(g, ch)
+        k1 = -F._leray(g, adv) + (0.0 if fh is None else fh)
+        for store, node in zip(out, (ch, F._pressure(g, adv),
+                                     k1 - config.nu * g.half.k_squared * ch)):
+            store.append(F._to_full(g, node))
+        if i < config.steps:
+            k2 = stage(e_half * (ch + (dt / 2.0) * k1))
+            k3 = stage(e_half * ch + (dt / 2.0) * k2)
+            k4 = stage(e_full * ch + dt * e_half * k3)
+            ch = e_full * ch + (dt / 6.0) * (e_full * k1 + 2.0 * e_half * (k2 + k3) + k4)
+    return tuple(np.array(a) for a in out)
+
+
+class TestBandMarch:
+    """ns_solve marches on the band layout with matmul transforms."""
+
+    @pytest.mark.parametrize("forced", [False, True], ids=["free", "forced"])
+    @pytest.mark.parametrize("n, steps", [(32, 200), (64, 40)])
+    def test_matches_the_half_layout_march(self, n, steps, forced):
+        grid = F.TorusGrid(n)
+        v0 = S.random_divergence_free(grid, seed=11, kmax=9, amplitude=0.8)
+        forcing = S.random_divergence_free(grid, seed=12, kmax=4, amplitude=0.5) if forced else None
+        cfg = S.NSConfig(nu=0.05, dt=1e-3, t_final=steps * 1e-3)
+        traj = S.ns_solve(v0, cfg, forcing=forcing)
+        ref = reference_half_solve(v0, cfg, forcing)
+        for got, want in zip((traj.velocity_coeffs, traj.pressure_coeffs, traj.rhs_coeffs), ref):
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.abs(want).max()
+
+    @pytest.mark.parametrize("n", [8, 30, 32])
+    def test_stored_nodes_are_symmetric_and_on_the_band(self, n):
+        grid = F.TorusGrid(n)
+        v0 = S.random_divergence_free(grid, seed=n, kmax=n // 3, amplitude=0.8)
+        forcing = S.random_divergence_free(grid, seed=n + 1, kmax=2, amplitude=0.3)
+        # 40 nodes: one full block of 32 nodes and a partial one
+        traj = S.ns_solve(v0, S.NSConfig(nu=0.05, dt=1e-3, t_final=0.039), forcing=forcing)
+        for arrays in (traj.velocity_coeffs, traj.pressure_coeffs, traj.rhs_coeffs):
+            assert F.conjugate_defect(arrays) == 0.0
+            assert np.all(arrays[..., ~grid.dealias_mask] == 0.0)
+
+    @pytest.mark.parametrize("call", ["ns_step", "ns_rhs"])
+    def test_modes_beyond_the_band_rejected(self, call):
+        """The band cannot hold them, so the step refuses instead of dropping them."""
+        grid = F.TorusGrid(32)
+        c = S.taylor_green(grid).coeffs.copy()
+        k1 = grid.n // 2 - 1
+        c[1, k1, 0] = c[1, -k1, 0] = 0.25  # v2 = 0.5 cos(15 x1), divergence-free
+        v = F.SpectralVectorField(grid, c)
+        with pytest.raises(ValueError, match="carries modes beyond the dealiasing band"):
+            S.ns_step(v, 0.1, 1e-3) if call == "ns_step" else S.ns_rhs(v, 0.1)
+
+    def test_forcing_beyond_the_band_rejected_by_ns_step(self):
+        grid = F.TorusGrid(32)
+        f = np.zeros((2, grid.n, grid.n), dtype=complex)
+        f[1, 15, 0] = f[1, -15, 0] = 0.25
+        with pytest.raises(ValueError, match="forcing carries modes beyond"):
+            S.ns_step(S.taylor_green(grid), 0.1, 1e-3, forcing=f)
+
+    def test_step_is_a_one_step_solve(self):
+        grid = F.TorusGrid(32)
+        v0 = S.random_divergence_free(grid, seed=4, kmax=8, amplitude=0.8)
+        traj = S.ns_solve(v0, S.NSConfig(nu=0.05, dt=1e-3, t_final=1e-3))
+        assert np.array_equal(S.ns_step(v0, 0.05, 1e-3).coeffs, traj.velocity_coeffs[1])
+        rhs, p = S.ns_rhs(v0, 0.05)
+        assert np.array_equal(rhs.coeffs, traj.rhs_coeffs[0])
+        assert np.array_equal(p.coeffs, traj.pressure_coeffs[0])
+
+    @pytest.mark.parametrize("n", [32, 128])
+    def test_trajectory_does_not_depend_on_the_thread_count(self, n):
+        """The march runs through BLAS: pinned to 1 and to 4 threads in fresh
+        processes, a solve gives the same bytes. At n = 128 a matmul march
+        would be split between threads and differ in the last bits."""
+        root = Path(__file__).resolve().parents[1]
+        script = ("import hashlib\n"
+                  "from svns import fields as F, solver as S\n"
+                  f"g = F.TorusGrid({n})\n"
+                  "v0 = S.random_divergence_free(g, seed=7, kmax=10, amplitude=0.9)\n"
+                  "t = S.ns_solve(v0, S.NSConfig(nu=0.02, dt=1e-3, t_final=0.02))\n"
+                  "h = hashlib.blake2b()\n"
+                  "for a in (t.velocity_coeffs, t.pressure_coeffs, t.rhs_coeffs):\n"
+                  "    h.update(a.tobytes())\n"
+                  "print(h.hexdigest())\n")
+        digests = []
+        for threads in ("1", "4"):
+            env = dict(os.environ)
+            env.update(OMP_NUM_THREADS=threads, OPENBLAS_NUM_THREADS=threads,
+                       MKL_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(
+                           filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])))
+            proc = subprocess.run([sys.executable, "-c", script], env=env, cwd=str(root),
+                                  capture_output=True, text=True)
+            assert proc.returncode == 0, proc.stderr
+            digests.append(proc.stdout.strip())
+        assert len(digests[0]) == 128 and digests[0] == digests[1]
 
 
 class TestSampledDrift:
