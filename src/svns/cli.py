@@ -40,7 +40,7 @@ from .action import (
     trig_vector_mode,
 )
 from .fields import SpectralVectorField, TorusGrid, linf_norm, load_field_snapshot
-from .flows import BrownianDriver, _check_branching
+from .flows import BrownianDriver, _check_branching, make_flow_ensemble
 from .noether import (
     SymmetryPair,
     _sample_steps,
@@ -213,6 +213,8 @@ def _validate(cfg: dict) -> None:
         for key in ("epsilon_ladder", "dt_ladder"):
             if key in cfg:
                 _check_ladder(cfg[key], key)
+        if "stride" in cfg:
+            make_flow_ensemble(grid, 1, cfg["stride"], jacobians=False)
         if exp == "noether":
             _check_branching(cfg["eps_steps"], cfg["branches"])
             _sample_steps(cfg["probe_times"], cfg["dt"])
@@ -224,11 +226,14 @@ def _validate(cfg: dict) -> None:
                        cfg["replicas"], cfg["scheme"])
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    if exp == "criticality":
+        _chosen_perturbations(cfg, default_perturbation_basis(grid, cfg["t_final"]))
     if exp == "noether":
         if cfg["symmetry"] not in ("translation-x", "translation-y", "custom"):
             raise ConfigError(f"unknown symmetry {cfg['symmetry']!r}")
-        if cfg["symmetry"] == "custom" and not cfg["symmetry_file"]:
-            raise ConfigError("symmetry = custom needs symmetry_file")
+        if cfg["symmetry"] == "custom" and not Path(cfg["symmetry_file"]).is_file():
+            raise ConfigError(f"symmetry = custom needs symmetry_file naming a file, "
+                              f"got {cfg['symmetry_file']!r}")
     if exp == "spde-converge" and cfg["initial_data"] not in ("taylor-green", "shear"):
         raise ConfigError(f"unknown initial data {cfg['initial_data']!r}")
 
@@ -344,24 +349,27 @@ def _random_ns_pieces(cfg: dict, extra_steps: int = 0):
     return grid, traj
 
 
-def _run_criticality(cfg: dict):
-    grid, traj = _random_ns_pieces(cfg)
-    basis = default_perturbation_basis(grid, cfg["t_final"])
+def _chosen_perturbations(cfg: dict, basis: list) -> list:
+    """The default-basis entries perturbation_modes selects: all, or indices."""
     spec = cfg["perturbation_modes"].strip()
     if spec.lower() == "all":
-        chosen = list(basis)
-    else:
-        try:
-            indices = [int(part) for part in spec.split(",") if part.strip()]
-        except ValueError as exc:
-            raise ConfigError(f"bad perturbation_modes: {exc}") from exc
-        if not indices:
-            raise ConfigError("perturbation_modes selected nothing")
-        for i in indices:
-            if not 0 <= i < len(basis):
-                raise ConfigError(f"perturbation index {i} outside the default "
-                                  f"basis (0..{len(basis) - 1})")
-        chosen = [basis[i] for i in indices]
+        return list(basis)
+    try:
+        indices = [int(part) for part in spec.split(",") if part.strip()]
+    except ValueError as exc:
+        raise ConfigError(f"bad perturbation_modes: {exc}") from exc
+    if not indices:
+        raise ConfigError("perturbation_modes selected nothing")
+    for i in indices:
+        if not 0 <= i < len(basis):
+            raise ConfigError(f"perturbation index {i} outside the default "
+                              f"basis (0..{len(basis) - 1})")
+    return [basis[i] for i in indices]
+
+
+def _run_criticality(cfg: dict):
+    grid, traj = _random_ns_pieces(cfg)
+    chosen = _chosen_perturbations(cfg, default_perturbation_basis(grid, cfg["t_final"]))
     run = prepare_action_run(
         SampledDrift(traj), TrajectoryPressure(traj), nu=cfg["nu"],
         dt=cfg["dt"], t_final=cfg["t_final"],

@@ -9,12 +9,13 @@ Real fields keep the full complex coefficient array with the conjugate symmetry
 u_hat(-k) = conj(u_hat(k)) enforced explicitly. Products are formed on the grid
 and dealiased by the 2/3 rule (modes with any |k_i| >= n/3 zeroed). The
 spectral kernel behind the solvers (advection, Leray projection, pressure)
-works on the real-transform half layout, columns k2 = 0..n/2 of a real
-field's coefficients, which holds every independent mode once; conjugate
-symmetry then holds by construction, and public arrays are rebuilt in the
-full layout only where they are stored or returned. The Navier-Stokes march
-uses the smaller band layout, only the modes the 2/3 rule keeps, with its
-transforms done as matmuls by cached DFT matrices. Off-grid
+works on half-plane mode sets k2 >= 0 of a real field's coefficients, which
+hold every independent mode once, so conjugate symmetry holds by
+construction; one scatter rebuilds the full layout where arrays are stored
+or returned. The half layout (columns k2 = 0..n/2, pocketfft transforms)
+serves the diagnostics; the Navier-Stokes and SPDE marches run on the
+smaller band layout, only the modes the 2/3 rule keeps, with transforms
+done as matmuls by cached DFT matrices. Off-grid
 evaluation is direct Fourier summation over the nonzero modes, which is exact
 for band-limited fields. Since only real parts are returned, each stack is
 folded once onto the half plane k2 >= 0 (d_k = c_k + conj(c_{-k})), which
@@ -97,7 +98,7 @@ class TorusGrid:
         for arr in (self.axis, self.x1, self.x2, self.k, self.k1, self.k2,
                     self.k_squared, self.k_squared_safe, self.dealias_mask):
             arr.setflags(write=False)
-        self.half = _HalfGrid(self)
+        self.half = _Modes(self, np.arange(n), n // 2 + 1)
 
     @functools.cached_property
     def band(self) -> _BandGrid:
@@ -120,28 +121,31 @@ class TorusGrid:
         return f"TorusGrid(n={self.n})"
 
 
-class _HalfGrid:
-    """The grid's wavenumber arrays restricted to the half layout.
+class _Modes:
+    """The grid's wavenumber arrays on a set of half-plane modes: the
+    full-layout rows `rows` (FFT order, so row 0 is k1 = 0) and the columns
+    k2 = 0..width - 1.
 
-    A real field's coefficients in columns k2 = 0..n/2 determine the rest
+    A real field's coefficients at k2 >= 0 determine the rest
     (u_hat(-k) = conj(u_hat(k))), and every operator of the spectral kernel
-    is mode-local, so the kernel runs on (n, n//2 + 1) arrays throughout,
-    roughly halving both transform and elementwise cost. The attribute names
-    match TorusGrid's, so mode-local functions accept either layout.
+    is mode-local, so the kernel runs on (len(rows), width) arrays. The half
+    layout (every row, width n/2 + 1) holds every independent mode once and
+    roughly halves both transform and elementwise cost; the band layout
+    (_BandGrid) holds only the modes the 2/3 rule keeps. The attribute names
+    match TorusGrid's, so mode-local functions accept any layout.
     """
 
-    def __init__(self, grid: TorusGrid):
-        h = grid.n // 2 + 1
-        self.n = grid.n
-        self.h = h
-        self.k1 = np.ascontiguousarray(grid.k1[:, :h]).astype(np.float64)
-        self.k2 = np.ascontiguousarray(grid.k2[:, :h]).astype(np.float64)
+    def __init__(self, grid: TorusGrid, rows: np.ndarray, width: int):
+        self.rows = rows
+        self.width = width
+        self.k1 = grid.k1[rows, :width].astype(np.float64)
+        self.k2 = grid.k2[rows, :width].astype(np.float64)
         self.ik1 = 1j * self.k1
         self.ik2 = 1j * self.k2
-        self.k_squared = np.ascontiguousarray(grid.k_squared[:, :h])
-        self.k_squared_safe = np.ascontiguousarray(grid.k_squared_safe[:, :h])
-        self.dealias_mask = np.ascontiguousarray(grid.dealias_mask[:, :h])
-        for arr in (self.k1, self.k2, self.ik1, self.ik2, self.k_squared,
+        self.k_squared = grid.k_squared[rows, :width]
+        self.k_squared_safe = grid.k_squared_safe[rows, :width]
+        self.dealias_mask = grid.dealias_mask[rows, :width]
+        for arr in (self.rows, self.k1, self.k2, self.ik1, self.ik2, self.k_squared,
                     self.k_squared_safe, self.dealias_mask):
             arr.setflags(write=False)
 
@@ -165,9 +169,9 @@ def _phases(n: int, j: np.ndarray, k: np.ndarray) -> np.ndarray:
     return table[np.mod(np.multiply.outer(j, k), n)]
 
 
-class _BandGrid:
-    """The grid's wavenumber arrays on the band layout, the modes the 2/3
-    rule keeps, with the dense DFT matrices between that band and the grid.
+class _BandGrid(_Modes):
+    """The band layout, the modes the 2/3 rule keeps, with the dense DFT
+    matrices between that band and the grid.
 
     Rows hold k1 = 0..K, -K..-1 (FFT order, row 0 is k1 = 0), columns
     k2 = 0..K, with K = (n - 1) // 3, the largest |k| below n/3. These are
@@ -177,34 +181,19 @@ class _BandGrid:
     cached (2K+1) x n or n x (K+1) matrix than as an FFT, whose fixed cost
     per axis pass dominates (Canuto et al., Spectral Methods, 2006, sec. 3);
     grids too large for a single-threaded matmul transform by pocketfft.
-    The attribute names match TorusGrid's, so mode-local functions accept
-    this layout too.
     """
 
     def __init__(self, grid: TorusGrid):
         n = grid.n
         big_k = (n - 1) // 3
-        self.n = n
+        super().__init__(grid, np.r_[0:big_k + 1, n - big_k:n], big_k + 1)
         self.K = big_k
-        # full-layout rows of the band rows, and each band row's -k1 row
-        self.rows = np.r_[0:big_k + 1, n - big_k:n]
-        self.neg_rows = np.r_[0, 2 * big_k:0:-1]
-        k1 = grid.k[self.rows]
-        k2 = np.arange(big_k + 1)
-        self.k1, self.k2 = (a.astype(np.float64) for a in np.meshgrid(k1, k2, indexing="ij"))
-        self.ik1 = 1j * self.k1
-        self.ik2 = 1j * self.k2
-        self.k_squared = self.k1**2 + self.k2**2
-        self.k_squared_safe = self.k_squared.copy()
-        self.k_squared_safe[0, 0] = 1.0
         # -(I - k k^T / |k|^2) per mode as (2, 2, 2K+1, K+1), -I at k = 0:
         # the projected nonlinearity of the march in one product and a sum
         kk = np.stack([self.k1, self.k2])
         self.minus_leray = (kk[:, None] * kk[None, :] / self.k_squared_safe
                             - np.eye(2)[..., None, None])
-        for arr in (self.rows, self.neg_rows, self.k1, self.k2, self.ik1, self.ik2,
-                    self.k_squared, self.k_squared_safe, self.minus_leray):
-            arr.setflags(write=False)
+        self.minus_leray.setflags(write=False)
         # the largest matmul of a transform (the inverse columns step) is
         # (2n x 4(K+1)) times (4(K+1) x n); above _SERIAL_GEMM OpenBLAS splits a
         # gemm's output between threads, and the entries at the edges of the
@@ -222,6 +211,8 @@ class _BandGrid:
         # Re((Er c + i Ei c) T) for the column phases T = w e^{i k2 x2}, w = 1
         # at k2 = 0 and 2 above, with d2 as the columns step for ik2 T.
         j = np.arange(n)
+        k1 = grid.k[self.rows]
+        k2 = np.arange(big_k + 1)
         e1 = _phases(n, j, k1)
         e1 = np.concatenate([e1, e1 * (1j * k1)])
         self.inv_rows = np.stack([e1.real, e1.imag], axis=1).reshape(4 * n, -1)
@@ -329,20 +320,31 @@ def _to_half(grid: TorusGrid, c: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(c[..., : grid.n // 2 + 1])
 
 
-def _to_full(grid: TorusGrid, ch: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Rebuild the full layout from half-layout coefficients of a real field
-    (into `out` when given): the missing columns are conj values at the
-    negated wavenumber."""
+def _to_full(grid: TorusGrid, c: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Rebuild the full layout from half- or band-layout coefficients of a
+    real field (into `out` when given): zero off the layout's modes, and
+    each missing column k2 < 0 holds conj values at the negated wavenumber."""
     n = grid.n
-    h = n // 2 + 1
+    rows, width = c.shape[-2:]
+    # layout rows :lo (k1 >= 0) go to full rows :lo, rows lo: (k1 < 0) to hi:
+    lo, hi = (rows + 1) // 2, n - rows // 2
+    # columns k2 = 1..top lack their mirror: all k2 > 0 but the half
+    # layout's last column, which is k2 = -n/2 itself
+    top = min(width - 1, n // 2 - 1)
     if out is None:
-        out = np.empty(ch.shape[:-1] + (n,), dtype=np.complex128)
-    out[..., :h] = ch
-    # column h + m holds k2 = -(n/2 - 1 - m); row i holds k1 whose negation
-    # sits in row (n - i) % n: row 0 stays, rows 1..n-1 reverse
-    neg = slice(h - 2, 0, -1)
-    np.conj(ch[..., :1, neg], out=out[..., :1, h:])
-    np.conj(ch[..., :0:-1, neg], out=out[..., 1:, h:])
+        out = np.empty(c.shape[:-2] + (n, n), dtype=np.complex128)
+    if rows < n:  # the band: zero the rows and columns it does not hold
+        out[..., lo:hi, :] = 0.0
+        out[..., width:n - top] = 0.0
+    out[..., :lo, :width] = c[..., :lo, :]
+    out[..., hi:, :width] = c[..., lo:, :]
+    # the mirror of layout row i is row (rows - i) % rows: row 0 stays,
+    # the other rows reverse
+    neg = slice(top, 0, -1)
+    mirror = out[..., n - top:]
+    np.conj(c[..., :1, neg], out=mirror[..., :1, :])
+    np.conj(c[..., :rows - lo:-1, neg], out=mirror[..., 1:lo, :])
+    np.conj(c[..., rows - lo:0:-1, neg], out=mirror[..., hi:, :])
     return out
 
 
@@ -374,22 +376,6 @@ def _advection_half(grid: TorusGrid, c: np.ndarray | None, values: np.ndarray | 
 def _to_band(grid: TorusGrid, c: np.ndarray) -> np.ndarray:
     """The band-layout modes of full- or half-layout coefficients."""
     return np.ascontiguousarray(c[..., grid.band.rows, : grid.band.K + 1])
-
-
-def _band_to_full(grid: TorusGrid, cb: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """The full layout of band-layout coefficients of a real field (into
-    `out` when given): zero off the band, and the mirror columns k2 < 0 are
-    conj values at the negated wavenumber, as in _to_full."""
-    n, big_k = grid.n, grid.band.K
-    if out is None:
-        out = np.empty(cb.shape[:-2] + (n, n), dtype=np.complex128)
-    out[...] = 0.0
-    mirror = np.conj(cb[..., grid.band.neg_rows, big_k:0:-1])
-    for full, band in ((slice(0, big_k + 1), slice(0, big_k + 1)),
-                       (slice(n - big_k, n), slice(big_k + 1, None))):
-        out[..., full, : big_k + 1] = cb[..., band, :]
-        out[..., full, n - big_k:] = mirror[..., band, :]
-    return out
 
 
 def _band_values(grid: TorusGrid, cb: np.ndarray):
@@ -516,7 +502,7 @@ def _layout(grid: TorusGrid, c: np.ndarray):
     width = c.shape[-1]
     if width == grid.n:
         return grid
-    return grid.half if width == grid.half.h else grid.band
+    return grid.half if width == grid.half.width else grid.band
 
 
 def _leray(grid: TorusGrid, c: np.ndarray) -> np.ndarray:
@@ -545,12 +531,13 @@ def _pressure(grid: TorusGrid, adv: np.ndarray) -> np.ndarray:
 
 
 def _biot_savart(grid: TorusGrid, omega: np.ndarray) -> np.ndarray:
-    """Mean-zero divergence-free velocity (..., 2, n, h) whose curl
-    d1 v2 - d2 v1 is the half-layout omega (..., n, h): v = (d2 psi, -d1 psi)
-    with -Delta psi = omega. The k = 0 entries are zero."""
-    hg = grid.half
-    psi = omega / hg.k_squared_safe
-    return np.stack([hg.ik2 * psi, -hg.ik1 * psi], axis=-3)
+    """Mean-zero divergence-free velocity (..., 2, rows, width) whose curl
+    d1 v2 - d2 v1 is the half- or band-layout omega (..., rows, width):
+    v = (d2 psi, -d1 psi) with -Delta psi = omega. The k = 0 entries are
+    zero."""
+    m = _layout(grid, omega)
+    psi = omega / m.k_squared_safe
+    return np.stack([m.ik2 * psi, -m.ik1 * psi], axis=-3)
 
 
 def leray_project(v: SpectralVectorField) -> SpectralVectorField:

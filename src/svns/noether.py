@@ -247,7 +247,7 @@ def noether_residual(pair: SymmetryPair, traj: NSTrajectory) -> NoetherReport:
         a = amp[nodes]
         da = damp[nodes]
         w = _values_half(g, _to_half(g, traj.velocity_coeffs[nodes]))
-        fh = np.zeros((len(a), g.n, g.half.h), dtype=complex)
+        fh = np.zeros((len(a), g.n, g.half.width), dtype=complex)
         fth = np.zeros_like(fh)
         if eta is not None:
             dw = _values_half(g, _to_half(g, traj.rhs_coeffs[nodes]))

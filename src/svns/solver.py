@@ -35,7 +35,6 @@ from .fields import (
     TorusGrid,
     _advection_band,
     _advection_half,
-    _band_to_full,
     _fft,
     _ifft,
     _leray,
@@ -199,7 +198,7 @@ def ns_rhs(v: SpectralVectorField, nu: float) -> tuple[SpectralVectorField, Spec
     g = v.grid
     _check_band(g, v.coeffs, "velocity")
     _, rhs, p, _ = _node_band(g, _to_band(g, v.coeffs), nu, None)
-    return SpectralVectorField(g, _band_to_full(g, rhs)), SpectralField(g, _band_to_full(g, p))
+    return SpectralVectorField(g, _to_full(g, rhs)), SpectralField(g, _to_full(g, p))
 
 
 def ns_step(v: SpectralVectorField, nu: float, dt: float,
@@ -220,7 +219,7 @@ def ns_step(v: SpectralVectorField, nu: float, dt: float,
     cb = _to_band(g, v.coeffs)
     k1 = _node_band(g, cb, nu, fb)[0]
     out = _rk4_band(g, cb, k1, dt, _viscous_factors(g, nu, dt), fb)
-    return SpectralVectorField(g, _band_to_full(g, out))
+    return SpectralVectorField(g, _to_full(g, out))
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +290,8 @@ def ns_solve(v0: SpectralVectorField, config: NSConfig,
     at any node. An optional time-independent forcing (divergence-free,
     dealiased) is added to the tendency; the stored per-node tendency then
     includes it, so interpolants built on the trajectory follow the forced
-    dynamics.
+    dynamics. ValueError if v0 or the forcing carries modes beyond the 2/3
+    band.
     """
     g = v0.grid
     scale = max(1.0, float(np.max(np.abs(v0.coeffs))))
@@ -301,7 +301,8 @@ def ns_solve(v0: SpectralVectorField, config: NSConfig,
     _check_band(g, v0.coeffs, "initial velocity")
     fb = None
     if forcing is not None:
-        fc = enforce_conjugate_symmetry(forcing.coeffs * g.dealias_mask)
+        _check_band(g, forcing.coeffs, "forcing")
+        fc = enforce_conjugate_symmetry(forcing.coeffs)
         fscale = max(1.0, float(np.max(np.abs(fc))))
         if np.max(np.abs(g.k1 * fc[0] + g.k2 * fc[1])) > 1e-10 * fscale:
             raise ValueError("forcing is not divergence-free")
@@ -334,7 +335,7 @@ def ns_solve(v0: SpectralVectorField, config: NSConfig,
             block[j] = node
         if j == _NODE_CHUNK - 1 or i == m:
             for block, full in zip(blocks, (vel, prs, rhs)):
-                _band_to_full(g, block[:j + 1], out=full[i - j:i + 1])
+                _to_full(g, block[:j + 1], out=full[i - j:i + 1])
         if i < m:
             cb = _rk4_band(g, cb, nonlinear, config.dt, factors, fb)
     return NSTrajectory(g, config.nu, times, vel, prs, rhs)

@@ -25,15 +25,15 @@ equation re-emerges in the mean without any viscous term in the dynamics.
 Both integrators keep the per-mode noise action diagonal (the transport
 phase i sqrt(2 nu)(k . dW) multiplies each coefficient), so the noise adds
 no aliasing and commutes with the curl. The steps therefore march the
-scalar vorticity omega = d1 v2 - d2 v1, whose dealiased advection
-(v . grad) omega is the curl of the velocity form's projected advection,
-and rebuild the velocity from omega by Biot-Savart, divergence-free by
-construction and with its mean mode carried unchanged; the velocity form's
-projections drop out. Every ensemble is marched in replica blocks of a
-fixed byte budget through one march shared by spde_solve and
-strong_error. All randomness flows through the counter-based driver,
-making every result a pure function of (seed, replica count,
-parameters), whatever the block or chunk size.
+scalar vorticity omega = d1 v2 - d2 v1 on the 2/3-rule band, whose
+dealiased advection (v . grad) omega is the curl of the band advection
+(v . grad) v of the Navier-Stokes march's kernel, and rebuild the velocity
+from omega by Biot-Savart, divergence-free by construction and with its
+mean mode carried unchanged; the velocity form's projections drop out.
+Every ensemble is marched in replica blocks of a fixed byte budget through
+one march. All randomness flows through the counter-based driver, making
+every result a pure function of (seed, replica count, parameters),
+whatever the block or chunk size.
 
 The pathwise action functional of a flow run whose martingale part is the
 scaled Brownian motion sqrt(2 nu) W is also evaluated here. Its pass is the
@@ -55,13 +55,14 @@ from .fields import (
     TWO_PI,
     SpectralVectorField,
     TorusGrid,
+    _advection_band,
     _advection_half,
     _biot_savart,
     _leray,
     _pressure,
+    _to_band,
     _to_full,
     _to_half,
-    _values_half,
     parseval_integral,
 )
 from .flows import BrownianDriver, _lattice_quadrature, _observed_pass, _replica_stderr
@@ -88,8 +89,9 @@ __all__ = [
 ]
 
 _SCHEMES = ("ito", "stratonovich-heun")
-# bytes of velocity grid values per replica block of the march: small
-# enough to stay in cache, large enough to amortise the per-call overhead
+# bytes of velocity grid values (and of each of their d1, d2 stacks) per
+# replica block of the march: small enough to stay in cache, large enough
+# to amortise the per-call overhead
 _BLOCK_BYTES = 1 << 20
 
 
@@ -148,17 +150,17 @@ class SPDEState:
 
 
 def _transport_phase(modes, nu: float, dw: np.ndarray) -> np.ndarray:
-    """sqrt(2 nu) (k . dW) per mode of a TorusGrid or of its half layout,
+    """sqrt(2 nu) (k . dW) per mode of a TorusGrid or of one of its layouts,
     for increments dw of shape (..., 2)."""
     return np.sqrt(2.0 * nu) * (dw[..., 0, None, None] * modes.k1
                                 + dw[..., 1, None, None] * modes.k2)
 
 
-def _initial_half(v0: SpectralVectorField, replicas: int) -> np.ndarray:
-    """Half-layout coefficients of v0, projected and dealiased, broadcast
-    read-only to (replicas, 2, n, h)."""
+def _initial_band(v0: SpectralVectorField, replicas: int) -> np.ndarray:
+    """Band-layout coefficients of v0, projected and dealiased, broadcast
+    read-only to (replicas, 2, 2K+1, K+1)."""
     g = v0.grid
-    c = _to_half(g, _leray(g, v0.coeffs * g.dealias_mask))
+    c = _leray(g, _to_band(g, v0.coeffs))
     return np.broadcast_to(c, (replicas,) + c.shape)
 
 
@@ -166,10 +168,8 @@ def make_spde_state(v0: SpectralVectorField, replicas: int) -> SPDEState:
     """All replicas started from v0 (projected and dealiased) at t = 0."""
     if replicas < 1:
         raise ValueError(f"need at least one replica, got {replicas}")
-    g = v0.grid
-    c = _leray(g, v0.coeffs * g.dealias_mask)
-    coeffs = np.broadcast_to(c, (replicas,) + c.shape).copy()
-    return SPDEState(g, coeffs, 0.0, 0, np.zeros((replicas, 2)))
+    coeffs = _to_full(v0.grid, _initial_band(v0, replicas))
+    return SPDEState(v0.grid, coeffs, 0.0, 0, np.zeros((replicas, 2)))
 
 
 def _check_compat(grid: TorusGrid, replicas: int, config: SPDEConfig,
@@ -182,44 +182,49 @@ def _check_compat(grid: TorusGrid, replicas: int, config: SPDEConfig,
         raise ValueError("driver and state disagree on the replica count")
 
 
-def _advance_half(grid: TorusGrid, config: SPDEConfig, c: np.ndarray,
+def _curl(modes, v: np.ndarray) -> np.ndarray:
+    """d1 v2 - d2 v1 of velocity coefficients v (..., 2, rows, width)."""
+    return modes.ik1 * v[..., 1, :, :] - modes.ik2 * v[..., 0, :, :]
+
+
+def _advance_band(grid: TorusGrid, config: SPDEConfig, c: np.ndarray,
                   dw: np.ndarray, stratonovich: bool) -> np.ndarray:
-    """One step on half-layout velocity coefficients c of shape
-    (replicas, 2, n, h), marched on the vorticity omega = d1 v2 - d2 v1.
+    """One step on band-layout velocity coefficients c of shape
+    (replicas, 2, 2K+1, K+1), marched on the vorticity omega = d1 v2 - d2 v1.
 
     The uniform noise phase commutes with the curl, and under the 2/3 rule
-    the curl of the projected advection is the dealiased (v . grad) omega,
-    so the update is the velocity equation's with one scalar advected in
-    place of two components and no projection. The velocity returned is
-    the Biot-Savart velocity of the new vorticity, divergence-free by
-    construction, with the mean mode carried over: advection, viscosity
-    and the phase all leave it fixed.
+    the dealiased (v . grad) omega of a divergence-free v is the curl of
+    the band advection (v . grad) v, so the update is the velocity
+    equation's with one scalar advected in place of two components and no
+    projection. The velocity returned is the Biot-Savart velocity of the
+    new vorticity, divergence-free by construction, with the mean mode
+    carried over: advection, viscosity and the phase all leave it fixed.
     """
-    hg = grid.half
+    b = grid.band
     dt = config.dt
     nu = config.nu
-    w = _values_half(grid, c)
+    adv, w = _advection_band(grid, c)
     displacement = dt * float(np.max(np.abs(w))) + np.sqrt(2.0 * nu) * float(
         np.max(np.abs(dw)))
-    budget = config.cfl_limit * (2.0 * np.pi / hg.n)
+    budget = config.cfl_limit * (2.0 * np.pi / grid.n)
     if not displacement <= budget:  # NaN trips it too
         raise CFLError(
             f"step displacement {displacement:.3g} exceeds the CFL budget "
             f"{budget:.3g} (limit {config.cfl_limit} cells)")
     mean = c[..., 0, 0]
-    theta = _transport_phase(hg, nu, dw)
-    om = hg.ik1 * c[..., 1, :, :] - hg.ik2 * c[..., 0, :, :]
-    a0 = _advection_half(grid, None, w, om[..., None, :, :])[..., 0, :, :]
+    theta = _transport_phase(b, nu, dw)
+    om = _curl(b, c)
+    a0 = _curl(b, adv)
     if stratonovich:
         n0 = 1j * theta * om
         pred = om - dt * a0 + n0
         vp = _biot_savart(grid, pred)
         vp[..., 0, 0] = mean
-        a1 = _advection_half(grid, vp, None, pred[..., None, :, :])[..., 0, :, :]
+        a1 = _curl(b, _advection_band(grid, vp)[0])
         onew = om - 0.5 * dt * (a0 + a1) + 0.5 * (n0 + 1j * theta * pred)
     else:
-        onew = om - dt * (a0 + nu * hg.k_squared * om) + 1j * theta * om
-    out = _biot_savart(grid, onew * hg.dealias_mask)
+        onew = om - dt * (a0 + nu * b.k_squared * om) + 1j * theta * om
+    out = _biot_savart(grid, onew)
     out[..., 0, 0] = mean
     return out
 
@@ -232,16 +237,16 @@ def _block_replicas(grid: TorusGrid) -> int:
 
 def _march(grid: TorusGrid, config: SPDEConfig, c: np.ndarray,
            increments: np.ndarray, stratonovich: bool) -> np.ndarray:
-    """Advance half-layout coefficients c (replicas, 2, n, h) through one
-    step per row of increments (steps, replicas, 2), one replica block at a
-    time. Replicas never interact, so the result does not depend on the
+    """Advance band-layout coefficients c (replicas, 2, 2K+1, K+1) through
+    one step per row of increments (steps, replicas, 2), one replica block
+    at a time. Replicas never interact, so the result does not depend on the
     block size; the CFL check sees one block at a time."""
     out = np.empty(c.shape, dtype=np.complex128)
     size = _block_replicas(grid)
     for s in range(0, c.shape[0], size):
         cb = c[s:s + size]
         for dw in increments[:, s:s + size]:
-            cb = _advance_half(grid, config, cb, dw, stratonovich)
+            cb = _advance_band(grid, config, cb, dw, stratonovich)
         out[s:s + size] = cb
     return out
 
@@ -252,7 +257,7 @@ def _step(state: SPDEState, config: SPDEConfig, driver: BrownianDriver,
     g = state.grid
     _check_compat(g, state.replicas, config, driver)
     dw = driver.increments(state.step_index, config.dt)
-    cnew = _to_full(g, _march(g, config, _to_half(g, state.coeffs), dw[None],
+    cnew = _to_full(g, _march(g, config, _to_band(g, state.coeffs), dw[None],
                               stratonovich))
     return SPDEState(g, cnew, state.t + config.dt, state.step_index + 1,
                      state.brownian + dw)
@@ -274,18 +279,18 @@ def spde_step_stratonovich(state: SPDEState, config: SPDEConfig,
 
 def spde_solve(v0, config: SPDEConfig, driver: BrownianDriver) -> SPDEState:
     """March a state (or a field, broadcast to all replicas) to t_final."""
-    g, c, t, step, brownian = _solve_half(v0, config, driver)
+    g, c, t, step, brownian = _solve_band(v0, config, driver)
     return SPDEState(g, _to_full(g, c), t, step, brownian)
 
 
-def _solve_half(v0, config: SPDEConfig, driver: BrownianDriver):
-    """spde_solve with the final coefficients left in the half layout:
+def _solve_band(v0, config: SPDEConfig, driver: BrownianDriver):
+    """spde_solve with the final coefficients left in the band layout:
     (grid, coefficients, t, step index, Brownian endpoints)."""
     if isinstance(v0, SPDEState):
-        g, c = v0.grid, _to_half(v0.grid, v0.coeffs)
+        g, c = v0.grid, _to_band(v0.grid, v0.coeffs)
         step, t, brownian = v0.step_index, v0.t, v0.brownian.copy()
     else:
-        g, c = v0.grid, _initial_half(v0, config.replicas)
+        g, c = v0.grid, _initial_band(v0, config.replicas)
         step, t, brownian = 0, 0.0, np.zeros((config.replicas, 2))
     _check_compat(g, c.shape[0], config, driver)
     increments = np.stack([driver.increments(step + i, config.dt)
@@ -369,7 +374,7 @@ def strong_error(config: SPDEConfig, u: SpectralVectorField, dt_ladder,
     increments = np.stack([driver.increments(i, fine) for i in range(steps_fine)])
     oracle = shift_oracle(u, increments.sum(axis=0), config.nu)
     strat = config.scheme == "stratonovich-heun"
-    c0 = _initial_half(u, config.replicas)
+    c0 = _initial_band(u, config.replicas)
     rows = []
     for d in ladder:
         factor = int(round(d / fine))
@@ -434,25 +439,23 @@ def ensemble_mode_means(v0: SpectralVectorField, config: SPDEConfig, seed: int,
     if chunk_size < 1:
         raise ValueError(f"chunk_size must be positive, got {chunk_size}")
     g = v0.grid
-    idx = {int(k): i for i, k in enumerate(g.k)}
-    sel = []
+    ks = set(g.k.tolist())
     for comp, k1, k2 in modes:
-        if comp not in (0, 1) or k1 not in idx or k2 not in idx:
+        if comp not in (0, 1) or k1 not in ks or k2 not in ks:
             raise ValueError(f"mode {(comp, k1, k2)} not representable on the grid")
-        sel.append((comp, idx[k1], idx[k2]))
-    comps, rows, cols = np.array(sel, dtype=np.int64).reshape(-1, 3).T
-    # the march's half layout keeps columns 0..n/2 (k2 = 0..n/2 - 1 and -n/2);
-    # a coefficient further right is the conjugate of its mirror at (-k1, -k2)
-    mirror = cols > g.n // 2
-    rows = np.where(mirror, -rows % g.n, rows)
-    cols = np.where(mirror, -cols % g.n, cols)
+    comps, k1s, k2s = np.array(modes, dtype=np.int64).reshape(-1, 3).T
+    # the march's band layout keeps k2 = 0..K: a k2 < 0 coefficient is the
+    # conjugate of its mirror at (-k1, -k2), and one off the band is exactly 0
+    mirror = k2s < 0
+    rows, cols = np.where(mirror, -k1s, k1s), np.abs(k2s)
+    on = np.maximum(np.abs(rows), cols) <= g.band.K
     total = config.replicas
     driver = BrownianDriver(seed=seed, replicas=total)
-    vals = np.empty((total, len(sel)), dtype=complex)
+    vals = np.zeros((total, len(comps)), dtype=complex)
     for start in range(0, total, chunk_size):
         r = min(chunk_size, total - start)
-        c = _solve_half(v0, replace(config, replicas=r), _ReplicaRows(driver, start, r))[1]
-        vals[start:start + r] = c[:, comps, rows, cols]
+        c = _solve_band(v0, replace(config, replicas=r), _ReplicaRows(driver, start, r))[1]
+        vals[start:start + r, on] = c[:, comps[on], rows[on], cols[on]]
     vals[:, mirror] = vals[:, mirror].conj()
     means = vals.mean(axis=0)
     se_re = _replica_stderr(vals.real, axis=0)

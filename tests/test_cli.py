@@ -216,6 +216,16 @@ class TestConfig:
         "rising-ladder": ("--experiment", "criticality", "--epsilon-ladder", "5e-3,1e-2"),
         "noether-one-branch": ("--experiment", "noether", "--branches", "1"),
         "noether-zero-eps-steps": ("--experiment", "noether", "--eps-steps", "0"),
+        "perturbation-index-out-of-range": ("--experiment", "criticality",
+                                            "--perturbation-modes", "99"),
+        "perturbation-modes-empty": ("--experiment", "criticality",
+                                     "--perturbation-modes", ","),
+        "criticality-stride-zero": ("--experiment", "criticality", "--set", "stride=0"),
+        "criticality-stride-not-dividing": ("--experiment", "criticality", "--set", "stride=3"),
+        "noether-stride-zero": ("--experiment", "noether", "--set", "stride=0"),
+        "noether-stride-not-dividing": ("--experiment", "noether", "--set", "stride=5"),
+        "noether-missing-symmetry-file": ("--experiment", "noether", "--symmetry", "custom",
+                                          "--symmetry-file", "no-such-snapshot.txt"),
     }
 
     @pytest.mark.parametrize("case", sorted(BAD_INPUTS))

@@ -302,6 +302,35 @@ def _band_limited(grid, seed, ncomp=2):
 BAND_SIZES = [4, 6, 8, 30, 32, 44, 46, 64]
 
 
+def reference_half_to_full(grid, ch, out=None):
+    """The full layout of half-layout coefficients, as one scatter per
+    layout (kept as the reference for the shared scatter)."""
+    n = grid.n
+    h = n // 2 + 1
+    if out is None:
+        out = np.empty(ch.shape[:-1] + (n,), dtype=np.complex128)
+    out[..., :h] = ch
+    neg = slice(h - 2, 0, -1)
+    np.conj(ch[..., :1, neg], out=out[..., :1, h:])
+    np.conj(ch[..., :0:-1, neg], out=out[..., 1:, h:])
+    return out
+
+
+def reference_band_to_full(grid, cb, out=None):
+    """The full layout of band-layout coefficients, zero off the band, as
+    one scatter per layout (kept as the reference for the shared scatter)."""
+    n, big_k = grid.n, grid.band.K
+    if out is None:
+        out = np.empty(cb.shape[:-2] + (n, n), dtype=np.complex128)
+    out[...] = 0.0
+    mirror = np.conj(cb[..., np.r_[0, 2 * big_k:0:-1], big_k:0:-1])
+    for full, band in ((slice(0, big_k + 1), slice(0, big_k + 1)),
+                       (slice(n - big_k, n), slice(big_k + 1, None))):
+        out[..., full, : big_k + 1] = cb[..., band, :]
+        out[..., full, n - big_k:] = mirror[..., band, :]
+    return out
+
+
 class TestBandLayoutKernel:
     @pytest.mark.parametrize("n", BAND_SIZES)
     def test_band_shape_and_layout(self, n):
@@ -336,11 +365,30 @@ class TestBandLayoutKernel:
         grid = F.TorusGrid(n)
         c = _band_limited(grid, seed=n, ncomp=3)
         band = F._to_band(grid, c)
-        assert np.array_equal(F._band_to_full(grid, band), c)
+        assert np.array_equal(F._to_full(grid, band), c)
         out = np.full(c.shape, np.nan, dtype=complex)
-        assert F._band_to_full(grid, band, out=out) is out
+        assert F._to_full(grid, band, out=out) is out
         assert np.array_equal(out, c)
         assert np.array_equal(F._to_band(grid, F._to_half(grid, c)), band)
+
+    @pytest.mark.parametrize("n", BAND_SIZES)
+    @pytest.mark.parametrize("layout", ["half", "band"])
+    def test_to_full_matches_the_per_layout_scatters(self, n, layout):
+        """One scatter serves both layouts, bit for bit the per-layout ones,
+        on any input (conjugate-symmetric or not), with and without out=."""
+        grid = F.TorusGrid(n)
+        m = getattr(grid, layout)
+        ref = reference_half_to_full if layout == "half" else reference_band_to_full
+        rng = np.random.default_rng(n)
+        shape = (3, 2, len(m.rows), m.width)
+        c = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        want = ref(grid, c).tobytes()
+        assert F._to_full(grid, c).tobytes() == want
+        out = np.full((4, 2, n, n), np.nan, dtype=complex)
+        view = out[1:]
+        assert F._to_full(grid, c, out=view) is view
+        assert view.tobytes() == want
+        assert np.isnan(out[0]).all()
 
     @settings(max_examples=40, deadline=None)
     @given(_real_coeffs(dealiased=True))
@@ -350,8 +398,8 @@ class TestBandLayoutKernel:
         adv, w = F._advection_band(grid, F._to_band(grid, c))
         ref_w = F._ifft(c)
         assert np.max(np.abs(w - ref_w)) <= 1e-13 * np.abs(ref_w).max()
-        for got, ref in ((F._band_to_full(grid, adv), ref_adv),
-                         (F._band_to_full(grid, F._pressure(grid, adv)), ref_p)):
+        for got, ref in ((F._to_full(grid, adv), ref_adv),
+                         (F._to_full(grid, F._pressure(grid, adv)), ref_p)):
             assert np.max(np.abs(got - ref)) <= 1e-13 * max(np.abs(ref).max(), 1e-300)
         full = F._leray(grid, c)
         band = F._leray(grid, F._to_band(grid, c))

@@ -268,6 +268,14 @@ class TestBandMarch:
         with pytest.raises(ValueError, match="forcing carries modes beyond"):
             S.ns_step(S.taylor_green(grid), 0.1, 1e-3, forcing=f)
 
+    def test_forcing_beyond_the_band_rejected_by_ns_solve(self):
+        grid = F.TorusGrid(32)
+        f = np.zeros((2, grid.n, grid.n), dtype=complex)
+        f[1, 15, 0] = f[1, -15, 0] = 0.25
+        with pytest.raises(ValueError, match="forcing carries modes beyond"):
+            S.ns_solve(S.taylor_green(grid), S.NSConfig(nu=0.1, dt=1e-3, t_final=1e-3),
+                       forcing=F.SpectralVectorField(grid, f))
+
     def test_step_is_a_one_step_solve(self):
         grid = F.TorusGrid(32)
         v0 = S.random_divergence_free(grid, seed=4, kmax=8, amplitude=0.8)

@@ -46,7 +46,11 @@ Oracles, all derivable by hand:
   replica - whose mean must agree with the averaged action functional.
 """
 
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -380,6 +384,39 @@ class TestVorticityMarch:
         assert spde._block_replicas(grid) == 1
         assert np.array_equal(spde_solve(tg, cfg, drv).coeffs, by_solve.coeffs)
 
+    @pytest.mark.parametrize("n", [32, 64])
+    def test_march_does_not_depend_on_the_thread_count(self, n):
+        """The march runs through BLAS: pinned to 1 and to 4 threads in fresh
+        processes, a solve and a mode-means ensemble (Heun and Ito) give the
+        same bytes. n = 32 transforms by matmul, n = 64 by pocketfft."""
+        root = Path(__file__).resolve().parents[1]
+        script = ("import hashlib\n"
+                  "from svns import fields as F, solver as S, spde as P\n"
+                  "from svns.flows import BrownianDriver\n"
+                  f"g = F.TorusGrid({n})\n"
+                  "v0 = S.random_divergence_free(g, seed=7, kmax=6, amplitude=0.5)\n"
+                  "h = hashlib.blake2b()\n"
+                  "for scheme in ('stratonovich-heun', 'ito'):\n"
+                  "    cfg = P.SPDEConfig(grid=g, nu=0.05, dt=2e-3, t_final=6e-3,\n"
+                  "                       replicas=130, scheme=scheme)\n"
+                  "    st = P.spde_solve(v0, cfg, BrownianDriver(seed=3, replicas=130))\n"
+                  "    h.update(st.coeffs.tobytes())\n"
+                  "    for m in P.ensemble_mode_means(v0, cfg, seed=5,\n"
+                  "                                   modes=[(0, 1, 1), (1, 2, -3)]):\n"
+                  "        h.update(repr((m.mean, m.stderr_re, m.stderr_im)).encode())\n"
+                  "print(h.hexdigest())\n")
+        digests = []
+        for threads in ("1", "4"):
+            env = dict(os.environ)
+            env.update(OMP_NUM_THREADS=threads, OPENBLAS_NUM_THREADS=threads,
+                       MKL_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(
+                           filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])))
+            proc = subprocess.run([sys.executable, "-c", script], env=env, cwd=str(root),
+                                  capture_output=True, text=True)
+            assert proc.returncode == 0, proc.stderr
+            digests.append(proc.stdout.strip())
+        assert len(digests[0]) == 128 and digests[0] == digests[1]
+
 
 # ---------------------------------------------------------------------------
 # the shifted-field oracle
@@ -642,18 +679,19 @@ class TestMeanDecay:
             assert other.stderr_im == stats[0].stderr_im
 
     def test_modes_match_the_full_layout_of_spde_solve(self, grid):
-        """Modes read from the march's half layout, a k2 < 0 one as the
+        """Modes read from the march's band layout, a k2 < 0 one as the
         conjugate of its mirror, are bit for bit spde_solve's full-layout
-        coefficients, at |k| = n/2 too."""
+        coefficients; modes off the band (K < |k_i| <= n/2) read exactly 0."""
         v0 = random_divergence_free(grid, seed=5, kmax=6, amplitude=0.5)
         cfg = SPDEConfig(grid=grid, nu=NU, dt=5e-3, t_final=0.01, replicas=12,
                          scheme="ito")
         modes = [(0, 1, 1), (1, 2, -3), (0, -5, -1), (0, 0, -2), (0, -16, 3),
-                 (1, 4, -16), (0, -16, -16), (1, -16, -3)]
+                 (1, 4, -16), (0, -16, -16), (1, -16, -3), (0, 12, 1), (1, 3, -11)]
         idx = {int(k): i for i, k in enumerate(grid.k)}
         coeffs = spde_solve(v0, cfg, BrownianDriver(seed=11, replicas=12)).coeffs
         vals = np.stack([coeffs[:, c, idx[k1], idx[k2]] for c, k1, k2 in modes], axis=1)
         assert np.all(vals[:, :4] != 0)
+        assert np.all(vals[:, 4:] == 0)
         means = vals.mean(axis=0)
         se_re = spde._replica_stderr(vals.real, axis=0)
         se_im = spde._replica_stderr(vals.imag, axis=0)
@@ -663,10 +701,11 @@ class TestMeanDecay:
             assert [s.mean for s in stats] == means.tolist()
             assert [s.stderr_re for s in stats] == se_re.tolist()
             assert [s.stderr_im for s in stats] == se_im.tolist()
+            assert all(s.mean == 0 for s in stats[4:])
 
     def test_chunk_holds_no_full_layout_copy(self, grid, tg):
         """A chunk's traced peak stays below the size of the full-layout
-        coefficients of its replicas: the modes come from the march's half
+        coefficients of its replicas: the modes come from the march's band
         layout, not from spde_solve's full copy."""
         replicas = 2000
         cfg = SPDEConfig(grid=grid, nu=NU, dt=5e-3, t_final=0.01, replicas=replicas,
