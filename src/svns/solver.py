@@ -128,10 +128,18 @@ class NSConfig:
 
     def __post_init__(self):
         _horizon_steps(self.nu, self.dt, self.t_final)
+        _check_cfl_limit(self.cfl_limit)
 
     @property
     def steps(self) -> int:
         return _horizon_steps(self.nu, self.dt, self.t_final)
+
+
+def _check_cfl_limit(limit: float) -> None:
+    """ValueError unless the CFL budget is positive: a zero or NaN budget
+    would fail every step's guard."""
+    if not limit > 0:  # NaN fails too
+        raise ValueError(f"cfl_limit must be positive, got {limit}")
 
 
 # ---------------------------------------------------------------------------

@@ -31,9 +31,10 @@ dealiased advection (v . grad) omega is the curl of the band advection
 from omega by Biot-Savart, divergence-free by construction and with its
 mean mode carried unchanged; the velocity form's projections drop out.
 Every ensemble is marched in replica blocks of a fixed byte budget through
-one march. All randomness flows through the counter-based driver, making
-every result a pure function of (seed, replica count, parameters),
-whatever the block or chunk size.
+one march, as tasks on a pool of one thread per usable CPU. Noise is drawn
+on the calling thread from the counter-based driver and each block writes
+its own slice, so every result is a pure function of (seed, replica count,
+parameters), whatever the block or chunk size or the worker count.
 
 The pathwise action functional of a flow run whose martingale part is the
 scaled Brownian motion sqrt(2 nu) W is also evaluated here. Its pass is the
@@ -46,7 +47,9 @@ per-replica kinetic-plus-constraint integrand.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -66,7 +69,8 @@ from .fields import (
     parseval_integral,
 )
 from .flows import BrownianDriver, _lattice_quadrature, _observed_pass, _replica_stderr
-from .solver import CFLError, DriftField, _check_ladder, _horizon_steps, _step_count
+from .solver import (CFLError, DriftField, _check_cfl_limit, _check_ladder, _horizon_steps,
+                     _step_count)
 
 __all__ = [
     "SPDEConfig",
@@ -91,8 +95,15 @@ __all__ = [
 _SCHEMES = ("ito", "stratonovich-heun")
 # bytes of velocity grid values (and of each of their d1, d2 stacks) per
 # replica block of the march: small enough to stay in cache, large enough
-# to amortise the per-call overhead
-_BLOCK_BYTES = 1 << 20
+# to amortise the per-call overhead; each worker's malloc arena keeps one
+# block's temporaries, and 1 MiB blocks on 2 workers raised peak RSS 19%
+_BLOCK_BYTES = 1 << 19
+# worker threads of the march: the CPUs this process may run on
+_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+_pools = {}  # worker count -> the one executor, built on first use
+if hasattr(os, "register_at_fork"):  # a forked child has none of its threads
+    os.register_at_fork(after_in_child=_pools.clear)
 
 
 @dataclass(frozen=True)
@@ -117,6 +128,7 @@ class SPDEConfig:
 
     def __post_init__(self):
         _horizon_steps(self.nu, self.dt, self.t_final)
+        _check_cfl_limit(self.cfl_limit)
         if self.replicas < 1:
             raise ValueError(f"need at least one replica, got {self.replicas}")
         if self.scheme not in _SCHEMES:
@@ -231,23 +243,56 @@ def _advance_band(grid: TorusGrid, config: SPDEConfig, c: np.ndarray,
 
 def _block_replicas(grid: TorusGrid) -> int:
     """Replicas per block of the march: a block's velocity grid values
-    (2 n^2 float64 per replica) fill _BLOCK_BYTES, 64 replicas at 32^2."""
+    (2 n^2 float64 per replica) fill _BLOCK_BYTES, 32 replicas at 32^2."""
     return max(1, _BLOCK_BYTES // (16 * grid.n * grid.n))
 
 
-def _march(grid: TorusGrid, config: SPDEConfig, c: np.ndarray,
-           increments: np.ndarray, stratonovich: bool) -> np.ndarray:
-    """Advance band-layout coefficients c (replicas, 2, 2K+1, K+1) through
-    one step per row of increments (steps, replicas, 2), one replica block
-    at a time. Replicas never interact, so the result does not depend on the
-    block size; the CFL check sees one block at a time."""
-    out = np.empty(c.shape, dtype=np.complex128)
-    size = _block_replicas(grid)
-    for s in range(0, c.shape[0], size):
+def _run(tasks) -> None:
+    """Run zero-argument tasks, inline on one worker or for one task, else on
+    the pool. The first failing task in list order raises once the later ones
+    are cancelled or finished, so no task writes after the raise. A task must
+    not call _run: nested waits on a fixed pool can deadlock."""
+    if _WORKERS == 1 or len(tasks) == 1:
+        for task in tasks:
+            task()
+        return
+    from concurrent import futures  # here, not at import: it costs ~8 ms
+    pool = _pools.get(_WORKERS)
+    if pool is None:
+        _pools.clear()
+        pool = _pools[_WORKERS] = futures.ThreadPoolExecutor(_WORKERS, "svns-march")
+    submitted = [pool.submit(task) for task in tasks]
+    for i, future in enumerate(submitted):
+        try:
+            future.result()
+        except BaseException:
+            for later in submitted[i + 1:]:
+                later.cancel()
+            futures.wait(submitted)
+            raise
+
+
+def _blocks(grid: TorusGrid, config: SPDEConfig, c: np.ndarray,
+            increments: np.ndarray, stratonovich: bool, out: np.ndarray) -> list:
+    """One task per replica block of c (replicas, 2, 2K+1, K+1), marching it
+    through one step per row of increments (steps, replicas, 2) into out."""
+    def block(s):
         cb = c[s:s + size]
         for dw in increments[:, s:s + size]:
             cb = _advance_band(grid, config, cb, dw, stratonovich)
         out[s:s + size] = cb
+    size = _block_replicas(grid)
+    return [partial(block, s) for s in range(0, c.shape[0], size)]
+
+
+def _march(grid: TorusGrid, config: SPDEConfig, c: np.ndarray,
+           increments: np.ndarray, stratonovich: bool) -> np.ndarray:
+    """Advance band-layout coefficients c (replicas, 2, 2K+1, K+1) through one
+    step per row of increments (steps, replicas, 2) in replica blocks on the
+    pool. Replicas never interact, so neither block size nor worker count
+    changes a bit; of the blocks failing the CFL check, the first raises."""
+    out = np.empty(c.shape, dtype=np.complex128)
+    _run(_blocks(grid, config, c, increments, stratonovich, out))
     return out
 
 
@@ -375,13 +420,18 @@ def strong_error(config: SPDEConfig, u: SpectralVectorField, dt_ladder,
     oracle = shift_oracle(u, increments.sum(axis=0), config.nu)
     strat = config.scheme == "stratonovich-heun"
     c0 = _initial_band(u, config.replicas)
-    rows = []
+    # the rungs are independent marches: their blocks share one task list
+    finals, tasks = [], []
     for d in ladder:
         factor = int(round(d / fine))
         nsteps = steps_fine // factor
         coarse = increments[:nsteps * factor].reshape(nsteps, factor,
                                                      config.replicas, 2).sum(axis=1)
-        c = _march(config.grid, replace(config, dt=d), c0, coarse, strat)
+        finals.append(np.empty(c0.shape, dtype=np.complex128))
+        tasks += _blocks(config.grid, replace(config, dt=d), c0, coarse, strat, finals[-1])
+    _run(tasks)
+    rows = []
+    for d, c in zip(ladder, finals):
         diff = _to_full(config.grid, c) - oracle
         errors = np.sqrt(TWO_PI**2 * np.sum(np.abs(diff) ** 2, axis=(1, 2, 3)))
         rows.append(StrongErrorRow(d, float(errors.mean()), float(_replica_stderr(errors))))

@@ -38,6 +38,11 @@ class TestNSConfig:
         with pytest.raises(ValueError):
             S.NSConfig(**{**dict(nu=0.1, dt=1e-3, t_final=1.0), key: value})
 
+    @pytest.mark.parametrize("limit", [0.0, -0.5, math.nan])
+    def test_rejects_a_cfl_limit_that_is_not_positive(self, limit):
+        with pytest.raises(ValueError, match="cfl_limit"):
+            S.NSConfig(nu=0.1, dt=1e-3, t_final=1.0, cfl_limit=limit)
+
 
 class TestNonFinite:
     """A NaN in the data raises or shows in the result; it never reads as 0."""

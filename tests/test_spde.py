@@ -46,10 +46,14 @@ Oracles, all derivable by hand:
   replica - whose mean must agree with the averaged action functional.
 """
 
+import hashlib
+import multiprocessing
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -156,6 +160,11 @@ class TestConfigAndState:
             heun_config(grid, replicas=0)
         with pytest.raises(ValueError, match="replica"):
             make_spde_state(taylor_green(grid), 0)
+
+    @pytest.mark.parametrize("limit", [0.0, -0.5, np.nan])
+    def test_rejects_a_cfl_limit_that_is_not_positive(self, grid, limit):
+        with pytest.raises(ValueError, match="cfl_limit"):
+            heun_config(grid, cfl_limit=limit)
 
     def test_rejects_unknown_scheme(self, grid):
         with pytest.raises(ValueError, match="unknown scheme"):
@@ -339,6 +348,43 @@ def velocity_form_step(grid, coeffs, dw, nu, dt, stratonovich):
     return out
 
 
+def fresh_python(script: str, **env) -> str:
+    """stdout of script run in a fresh interpreter on this checkout's svns,
+    with env added to the environment."""
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, **env, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", script], env=env, cwd=str(root),
+                          capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+class Replay:
+    """Stands in for a BrownianDriver: returns given increments
+    (steps, replicas, 2) step by step."""
+
+    def __init__(self, increments):
+        self.rows = increments
+        self.replicas = increments.shape[1]
+
+    def increments(self, step, dt):
+        return self.rows[step]
+
+
+def small_solve_digest() -> str:
+    """blake2b of a 70-replica Heun solve at 32^2: three replica blocks."""
+    grid = TorusGrid(32)
+    cfg = SPDEConfig(grid=grid, nu=NU, dt=2e-3, t_final=4e-3, replicas=70)
+    st = spde_solve(taylor_green(grid), cfg, BrownianDriver(seed=8, replicas=70))
+    return hashlib.blake2b(st.coeffs.tobytes()).hexdigest()
+
+
+def send_small_solve_digest(conn) -> None:
+    conn.send(small_solve_digest())
+    conn.close()
+
+
 class TestVorticityMarch:
     @pytest.mark.parametrize("step", [spde_step_ito, spde_step_stratonovich])
     def test_step_matches_the_velocity_form(self, grid, step):
@@ -386,36 +432,121 @@ class TestVorticityMarch:
 
     @pytest.mark.parametrize("n", [32, 64])
     def test_march_does_not_depend_on_the_thread_count(self, n):
-        """The march runs through BLAS: pinned to 1 and to 4 threads in fresh
-        processes, a solve and a mode-means ensemble (Heun and Ito) give the
-        same bytes. n = 32 transforms by matmul, n = 64 by pocketfft."""
-        root = Path(__file__).resolve().parents[1]
+        """The march runs through BLAS on a pool of worker threads: pinned to
+        1 and to 4 BLAS threads in fresh processes, each with 1, 2 and 4
+        workers, a solve, a mode-means ensemble (Heun and Ito) and a strong
+        error ladder give the same bytes. n = 32 transforms by matmul, n = 64
+        by pocketfft."""
         script = ("import hashlib\n"
                   "from svns import fields as F, solver as S, spde as P\n"
                   "from svns.flows import BrownianDriver\n"
                   f"g = F.TorusGrid({n})\n"
                   "v0 = S.random_divergence_free(g, seed=7, kmax=6, amplitude=0.5)\n"
-                  "h = hashlib.blake2b()\n"
-                  "for scheme in ('stratonovich-heun', 'ito'):\n"
-                  "    cfg = P.SPDEConfig(grid=g, nu=0.05, dt=2e-3, t_final=6e-3,\n"
-                  "                       replicas=130, scheme=scheme)\n"
-                  "    st = P.spde_solve(v0, cfg, BrownianDriver(seed=3, replicas=130))\n"
-                  "    h.update(st.coeffs.tobytes())\n"
-                  "    for m in P.ensemble_mode_means(v0, cfg, seed=5,\n"
-                  "                                   modes=[(0, 1, 1), (1, 2, -3)]):\n"
-                  "        h.update(repr((m.mean, m.stderr_re, m.stderr_im)).encode())\n"
-                  "print(h.hexdigest())\n")
+                  "tg = S.taylor_green(g, 0.0, 0.0, 0.7)\n"
+                  "for workers in (1, 2, 4):\n"
+                  "    P._WORKERS = workers\n"
+                  "    h = hashlib.blake2b()\n"
+                  "    for scheme in ('stratonovich-heun', 'ito'):\n"
+                  "        cfg = P.SPDEConfig(grid=g, nu=0.05, dt=2e-3, t_final=6e-3,\n"
+                  "                           replicas=130, scheme=scheme)\n"
+                  "        st = P.spde_solve(v0, cfg, BrownianDriver(seed=3, replicas=130))\n"
+                  "        h.update(st.coeffs.tobytes())\n"
+                  "        for m in P.ensemble_mode_means(v0, cfg, seed=5,\n"
+                  "                                       modes=[(0, 1, 1), (1, 2, -3)]):\n"
+                  "            h.update(repr((m.mean, m.stderr_re, m.stderr_im)).encode())\n"
+                  "    cfg = P.SPDEConfig(grid=g, nu=0.05, dt=1e-3, t_final=8e-3, replicas=40)\n"
+                  "    rep = P.strong_error(cfg, tg, (4e-3, 2e-3, 1e-3),\n"
+                  "                         BrownianDriver(seed=4, replicas=40))\n"
+                  "    h.update(repr([(r.dt, r.mean_error, r.stderr) for r in rep.rows]).encode())\n"
+                  "    print(h.hexdigest())\n")
         digests = []
         for threads in ("1", "4"):
-            env = dict(os.environ)
-            env.update(OMP_NUM_THREADS=threads, OPENBLAS_NUM_THREADS=threads,
-                       MKL_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(
-                           filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])))
-            proc = subprocess.run([sys.executable, "-c", script], env=env, cwd=str(root),
-                                  capture_output=True, text=True)
-            assert proc.returncode == 0, proc.stderr
-            digests.append(proc.stdout.strip())
-        assert len(digests[0]) == 128 and digests[0] == digests[1]
+            digests += fresh_python(script, OMP_NUM_THREADS=threads,
+                                    OPENBLAS_NUM_THREADS=threads,
+                                    MKL_NUM_THREADS=threads).split()
+        assert len(digests) == 6 and len(digests[0]) == 128 and len(set(digests)) == 1
+
+    def test_import_starts_no_thread(self):
+        assert fresh_python("import threading\n"
+                            "import svns\n"
+                            "from svns import action, cli, fields, flows, noether, solver, spde\n"
+                            "print(threading.active_count())\n").strip() == "1"
+
+    def test_one_replica_blocks_under_fast_thread_switching(self, grid, tg, monkeypatch):
+        """Forty one-replica blocks on 4 workers, with the interpreter
+        switching threads every microsecond, march to the serial bytes:
+        each block writes only its own slice."""
+        cfg = SPDEConfig(grid=grid, nu=NU, dt=2e-3, t_final=6e-3, replicas=40)
+        drv = BrownianDriver(seed=21, replicas=40)
+        monkeypatch.setattr(spde, "_BLOCK_BYTES", 1)
+        monkeypatch.setattr(spde, "_WORKERS", 1)
+        serial = spde_solve(tg, cfg, drv).coeffs
+        monkeypatch.setattr(spde, "_WORKERS", 4)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            pooled = spde_solve(tg, cfg, drv).coeffs
+        finally:
+            sys.setswitchinterval(interval)
+        assert np.array_equal(pooled, serial)
+
+    def test_cfl_failure_raises_the_first_failing_block(self, grid, tg, monkeypatch):
+        """One replica per block, two of them beyond the budget: replica 0 at
+        its last step and replica 1 at its first, so on the pool replica 1
+        fails first. Every worker count raises the serial march's error,
+        that of replica 0, the earlier block."""
+        monkeypatch.setattr(spde, "_BLOCK_BYTES", 1)
+        replicas, steps, dt = 12, 10, 1e-3
+        cfg = SPDEConfig(grid=grid, nu=NU, dt=dt, t_final=steps * dt, replicas=replicas)
+        dw = np.sqrt(dt) * np.random.default_rng(5).standard_normal((steps, replicas, 2))
+        dw[-1, 0] = 3.0
+        dw[0, 1] = 5.0
+        messages = []
+        for workers in (1, 2, 4):
+            monkeypatch.setattr(spde, "_WORKERS", workers)
+            with pytest.raises(CFLError) as err:
+                spde_solve(tg, cfg, Replay(dw))
+            messages.append(str(err.value))
+        assert "exceeds the CFL budget" in messages[0]
+        assert messages == messages[:1] * 3
+
+    def test_failed_run_cancels_and_waits(self, monkeypatch):
+        """The tasks queued after a failing one never start, and the ones
+        already running finish before the error propagates."""
+        monkeypatch.setattr(spde, "_WORKERS", 2)
+        started, running = [], []
+
+        def task(i):
+            started.append(i)
+            running.append(i)
+            if i == 3:
+                raise CFLError("block 3")
+            time.sleep(0.02 if i > 3 else 0.0)
+            running.remove(i)
+
+        with pytest.raises(CFLError, match="block 3"):
+            spde._run([partial(task, i) for i in range(40)])
+        assert running == [3]
+        assert len(started) < 40
+
+    @pytest.mark.skipif(not hasattr(os, "register_at_fork"), reason="no fork")
+    def test_pool_survives_fork(self, monkeypatch):
+        """A child forked after the parent marched on the pool builds its own
+        pool and marches to the parent's bytes."""
+        monkeypatch.setattr(spde, "_WORKERS", 2)
+        parent = small_solve_digest()
+        ctx = multiprocessing.get_context("fork")
+        reader, writer = ctx.Pipe(duplex=False)
+        child = ctx.Process(target=send_small_solve_digest, args=(writer,))
+        child.start()
+        writer.close()
+        try:
+            assert reader.poll(60), "the forked child did not finish its solve"
+            assert reader.recv() == parent
+        finally:
+            child.kill()
+            child.join(10)
+        assert not child.is_alive()
 
 
 # ---------------------------------------------------------------------------
