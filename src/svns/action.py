@@ -243,44 +243,6 @@ class ActionBreakdown:
         return self.s1 + self.s2
 
 
-def _direction_sums(W, psi, mixed, v, nu, pstack, det, dm1):
-    """Point-axis contractions of the vector directions at a block of replicas.
-
-    W is the (component, derivative row, direction, replica, point) view of
-    the direction rows, psi the phi rows, mixed the (direction, phi row)
-    pairs of mixed directions, v the (2, replica, point) drift and pstack
-    the pressure with its first and second derivatives. Returns the
-    (9, direction, replica) sums <w.v>, <L.v>, <w.w>, <w.L>, <L.L>, then the
-    c1..c4 sums without their envelope powers, and the largest |T| and |Dt|
-    of each direction.
-    """
-    w = W[:, 0]
-    L = np.einsum("ckdrp,krp->cdrp", W[:, 1:], np.stack([v[0], v[1], np.full_like(v[0], nu)]))
-    T = W[0, 1] + W[1, 2]
-    Dt = W[0, 1] * W[1, 2] - W[0, 2] * W[1, 1]
-    p, p1, p2, p11, p12, p22 = pstack
-    pdet = p * det
-    G = np.einsum("cdrp,crp->drp", w, np.stack([p1, p2]))
-    Gm = np.einsum("cdrp,edrp,cerp->drp", w, w, 0.5 * np.stack([[p11, p12], [p12, p22]]))
-    sums = np.empty((9,) + T.shape[:2])
-    sums[0] = np.einsum("cdrp,crp->dr", w, v)
-    sums[1] = np.einsum("cdrp,crp->dr", L, v)
-    sums[2] = np.einsum("cdrp,cdrp->dr", w, w)
-    sums[3] = np.einsum("cdrp,cdrp->dr", w, L)
-    sums[4] = np.einsum("cdrp,cdrp->dr", L, L)
-    sums[5] = np.einsum("drp,rp->dr", G, dm1) + np.einsum("drp,rp->dr", T, pdet)
-    if mixed.size:
-        G[mixed[0]] += psi[mixed[1]]  # the phi part of c1 is summed with the phi rows
-    sums[6] = (np.einsum("drp,rp->dr", Gm, dm1) + np.einsum("drp,drp,rp->dr", G, T, det)
-               + np.einsum("drp,rp->dr", Dt, pdet))
-    sums[7] = np.einsum("drp,drp,rp->dr", Gm, T, det) + np.einsum("drp,drp,rp->dr", G, Dt, det)
-    sums[8] = np.einsum("drp,drp,rp->dr", Gm, Dt, det)
-    # max |x| as max(max x, -min x): no |x| temporary, the same bits
-    tr_max = np.maximum(T.max(axis=(1, 2)), -T.min(axis=(1, 2)))
-    det_max = np.maximum(Dt.max(axis=(1, 2)), -Dt.min(axis=(1, 2)))
-    return sums, tr_max, det_max
-
-
 class _ActionObserver(FlowObserver):
     """Accumulates, per replica, the eps-polynomial coefficients of S.
 
@@ -313,16 +275,13 @@ class _ActionObserver(FlowObserver):
     The sums are einsums over the point axis: "drp,rp->dr" against per-node
     weights (v, dm1, p det) and "drp,drp,rp->dr" for the higher-order
     products. L, T, Dt, G and Gm are the only arrays of direction-point
-    size, built per block of replicas (_direction_sums) to keep them small;
-    each sum runs over the points of one replica, so the block size does
-    not change a bit. psi enters c1 through its own sum (phi-only
-    directions have no other terms).
+    size; run_flow hands the observer one block of replicas at a time,
+    which keeps them small, and each sum runs over the points of one
+    replica, so the block size does not change a bit. psi enters c1
+    through its own sum (phi-only directions have no other terms).
     """
 
-    # points per block of replicas in the direction sums (at least one
-    # replica): bounds a block's temporaries to a few MB; of 1024 to 16384
-    # points per block, 4096 and 8192 ran fastest at 16 x 1024 points
-    _BLOCK_POINTS = 8192
+    blockwise = True
 
     def __init__(self, grid: TorusGrid, pressure, perts: tuple[PerturbationField, ...],
                  replicas: int, nu: float):
@@ -350,57 +309,80 @@ class _ActionObserver(FlowObserver):
         self._phi_ids = np.asarray(phi_ids, dtype=int)
         self._mixed = np.array([(w_ids.index(i), f) for f, i in enumerate(phi_ids)
                                 if i in w_ids], dtype=int).reshape(-1, 2).T
+        self._node_t = None
 
     def accumulate(self, node, t, ens, drift_values, drift_grads, weight):
         table = self.node_table(ens)
-        g = self.grid
+        r = self.block
         wi = self._w_ids
-        pc = self.pressure.coeffs_at(t)
-        prows = [pc]
-        if wi.size:
-            # p along g + eps h expands through grad p and Hess p
-            prows += [1j * g.k1 * pc, 1j * g.k2 * pc,
-                      -g.k1 * g.k1 * pc, -g.k1 * g.k2 * pc, -g.k2 * g.k2 * pc]
-        pstack = table.evaluate(PointEvaluator(g, np.stack(prows)))
-        p_pts = pstack[0]
+        if self._node_t != t:  # the node's blocks share what depends on t alone
+            g = self.grid
+            pc = self.pressure.coeffs_at(t)
+            prows = [pc]
+            if wi.size:
+                # p along g + eps h expands through grad p and Hess p
+                prows += [1j * g.k1 * pc, 1j * g.k2 * pc,
+                          -g.k1 * g.k1 * pc, -g.k1 * g.k2 * pc, -g.k2 * g.k2 * pc]
+            self._pressure_eval = PointEvaluator(g, np.stack(prows))
+            self._a = np.array([p.envelope.value(t) for p in self.perts])
+            self._da = np.array([p.envelope.derivative(t) for p in self.perts])
+            self._node_t = t
+        pstack = table.evaluate(self._pressure_eval)
         det = det_jacobian(ens)
         dm1 = det - 1.0
         self.det_defect_max = float(np.maximum(self.det_defect_max, np.max(np.abs(dm1))))
         v = np.moveaxis(drift_values, -1, 0).copy()
-        self.k0 += weight * _lattice_quadrature(v[0] ** 2 + v[1] ** 2)
-        self.b0 += weight * _lattice_quadrature(p_pts * dm1)
+        self.k0[r] += weight * _lattice_quadrature(v[0] ** 2 + v[1] ** 2)
+        self.b0[r] += weight * _lattice_quadrature(pstack[0] * dm1)
         if self._union_eval is None:
             return
         allp = table.evaluate(self._union_eval)
-        replicas, npts = dm1.shape
-        q = weight * TWO_PI**2 / npts
-        aval = np.array([p.envelope.value(t) for p in self.perts])
+        q = weight * TWO_PI**2 / dm1.shape[1]
         nw = wi.size
         psi = allp[8 * nw:]
         if psi.size:
             fi = self._phi_ids
-            self.c[fi, 0] += q * aval[fi, None] * np.einsum("frp,rp->fr", psi, dm1)
+            self.c[fi, 0, r] += q * self._a[fi, None] * np.einsum("frp,rp->fr", psi, dm1)
         if not nw:
             return
         W = allp[:8 * nw].reshape((2, 4, nw) + dm1.shape)
-        sums = np.empty((9, nw, replicas))
-        tr_max = np.zeros(nw)
-        det_max = np.zeros(nw)
-        step = max(1, self._BLOCK_POINTS // npts)
-        for s in range(0, replicas, step):
-            b = slice(s, s + step)
-            sums[:, :, b], tmx, dmx = _direction_sums(
-                W[..., b, :], psi[:, b], self._mixed, v[:, b], self.nu, pstack[:, b],
-                det[b], dm1[b])
-            tr_max = np.maximum(tr_max, tmx)
-            det_max = np.maximum(det_max, dmx)
-        a = aval[wi, None]
-        da = np.array([self.perts[i].envelope.derivative(t) for i in wi])[:, None]
+        w = W[:, 0]
+        L = np.einsum("ckdrp,krp->cdrp", W[:, 1:],
+                      np.stack([v[0], v[1], np.full_like(v[0], self.nu)]))
+        T = W[0, 1] + W[1, 2]
+        Dt = W[0, 1] * W[1, 2] - W[0, 2] * W[1, 1]
+        p, p1, p2, p11, p12, p22 = pstack
+        pdet = p * det
+        G = np.einsum("cdrp,crp->drp", w, np.stack([p1, p2]))
+        Gm = np.einsum("cdrp,edrp,cerp->drp", w, w, 0.5 * np.stack([[p11, p12], [p12, p22]]))
+        # the (9, direction, replica) sums <w.v>, <L.v>, <w.w>, <w.L>, <L.L>,
+        # then those of c1..c4 without their envelope powers
+        sums = np.empty((9,) + T.shape[:2])
+        sums[0] = np.einsum("cdrp,crp->dr", w, v)
+        sums[1] = np.einsum("cdrp,crp->dr", L, v)
+        sums[2] = np.einsum("cdrp,cdrp->dr", w, w)
+        sums[3] = np.einsum("cdrp,cdrp->dr", w, L)
+        sums[4] = np.einsum("cdrp,cdrp->dr", L, L)
+        sums[5] = np.einsum("drp,rp->dr", G, dm1) + np.einsum("drp,rp->dr", T, pdet)
+        if self._mixed.size:
+            # the phi part of c1 is summed with the phi rows
+            G[self._mixed[0]] += psi[self._mixed[1]]
+        sums[6] = (np.einsum("drp,rp->dr", Gm, dm1) + np.einsum("drp,drp,rp->dr", G, T, det)
+                   + np.einsum("drp,rp->dr", Dt, pdet))
+        sums[7] = (np.einsum("drp,drp,rp->dr", Gm, T, det)
+                   + np.einsum("drp,drp,rp->dr", G, Dt, det))
+        sums[8] = np.einsum("drp,drp,rp->dr", Gm, Dt, det)
+        a = self._a[wi, None]
+        da = self._da[wi, None]
         a2 = a * a
-        self.k1[wi] += q * (da * sums[0] + a * sums[1])
-        self.k2[wi] += q * (da * da * sums[2] + 2.0 * da * a * sums[3] + a2 * sums[4])
-        self.c[wi] += q * (np.stack([a, a2, a2 * a, a2 * a2], axis=1) * sums[5:].transpose(1, 0, 2))
-        # a >= 0, so max |a T| = a max |T| bit for bit, and likewise for a^2 Dt
+        self.k1[wi, r] += q * (da * sums[0] + a * sums[1])
+        self.k2[wi, r] += q * (da * da * sums[2] + 2.0 * da * a * sums[3] + a2 * sums[4])
+        self.c[wi, :, r] += q * (np.stack([a, a2, a2 * a, a2 * a2], axis=1)
+                                 * sums[5:].transpose(1, 0, 2))
+        # a >= 0, so max |a T| = a max |T| bit for bit, and likewise for a^2
+        # Dt; max |x| as max(max x, -min x): no |x| temporary, the same bits
+        tr_max = np.maximum(T.max(axis=(1, 2)), -T.min(axis=(1, 2)))
+        det_max = np.maximum(Dt.max(axis=(1, 2)), -Dt.min(axis=(1, 2)))
         self.htr_max[wi] = np.maximum(self.htr_max[wi], a[:, 0] * tr_max)
         self.hdet_max[wi] = np.maximum(self.hdet_max[wi], a2[:, 0] * det_max)
 
@@ -558,6 +540,8 @@ class ELResidual:
 
 
 class _PairingObserver(FlowObserver):
+    blockwise = True
+
     def __init__(self, grid, drift, pressure, pert, nu, replicas):
         self.grid = grid
         self.drift = drift
@@ -568,20 +552,25 @@ class _PairingObserver(FlowObserver):
         self.residual_norm = 0.0
         # only the value rows of w pair with the residual
         self.w_eval = None if pert.w_coeffs is None else PointEvaluator(grid, pert.w_coeffs)
+        self._node_t = None
 
     def accumulate(self, node, t, ens, drift_values, drift_grads, weight):
-        res = _momentum_residual(self.grid, self.drift.coeffs_at(t),
-                                 self.drift.velocity_dt_coeffs_at(t),
-                                 self.pressure.coeffs_at(t), self.nu)
-        self.residual_norm = float(np.maximum(self.residual_norm, np.max(np.abs(_ifft(res)))))
+        if self._node_t != t:  # the residual, once for the node's blocks
+            res = _momentum_residual(self.grid, self.drift.coeffs_at(t),
+                                     self.drift.velocity_dt_coeffs_at(t),
+                                     self.pressure.coeffs_at(t), self.nu)
+            self.residual_norm = float(np.maximum(self.residual_norm,
+                                                  np.max(np.abs(_ifft(res)))))
+            self._node_t = t
+            self._residual_eval = None if self.w_eval is None else PointEvaluator(self.grid, res)
         if self.w_eval is None:
             return
         table = self.node_table(ens)
-        rvals = table.evaluate(PointEvaluator(self.grid, res))
+        rvals = table.evaluate(self._residual_eval)
         a = self.pert.envelope.value(t)
         w = table.evaluate(self.w_eval)
         pair = a * (rvals[0] * w[0] + rvals[1] * w[1])
-        self.acc += weight * _lattice_quadrature(pair)
+        self.acc[self.block] += weight * _lattice_quadrature(pair)
 
 
 def euler_lagrange_residual(drift: DriftField, pressure, pert: PerturbationField, *,

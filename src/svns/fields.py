@@ -386,10 +386,11 @@ def _band_values(grid: TorusGrid, cb: np.ndarray):
     serial matmul)."""
     b, n = grid.band, grid.n
     if not b.matmul:
-        half = np.zeros(cb.shape[:-2] + (n, n // 2 + 1), dtype=np.complex128)
-        half[..., b.rows, : b.K + 1] = cb
-        return tuple(np.fft.irfft2(m * half, s=(n, n), norm="forward")
-                     for m in (1.0, grid.half.ik1, grid.half.ik2))
+        # irfft2's passes on the K+1 band columns alone, padded implicitly
+        cols = np.zeros(cb.shape[:-2] + (3, n, b.K + 1), dtype=np.complex128)
+        cols[..., b.rows, :] = np.stack([cb, b.ik1 * cb, b.ik2 * cb], axis=-3)
+        cols = np.fft.ifft(cols, axis=-2, norm="forward")
+        return tuple(np.moveaxis(np.fft.irfft(cols, n, norm="forward"), -3, 0))
     x = b.inv_rows @ cb.view(np.float64)
     x = x.reshape(x.shape[:-2] + (2 * n, -1))
     rows = x @ b.inv_cols
@@ -401,7 +402,9 @@ def _band_transform(grid: TorusGrid, values: np.ndarray) -> np.ndarray:
     transform restricted to the band, which is the 2/3-rule dealiasing."""
     b, n = grid.band, grid.n
     if not b.matmul:
-        return _to_band(grid, np.fft.rfft2(values, norm="forward"))
+        # rfft2's passes, the second on the K+1 band columns alone
+        cols = np.fft.rfft(values, norm="forward")[..., : b.K + 1]
+        return np.fft.fft(cols, axis=-2, norm="forward")[..., b.rows, :]
     y = values @ b.fwd_cols
     return (b.fwd_rows @ y.reshape(y.shape[:-2] + (2 * n, -1))).view(np.complex128)
 
@@ -688,8 +691,8 @@ class PhaseTable:
     view of the ladder; other mode sets (the symmetric row sets of folded
     stacks) are assembled once and cached, so each additional stack
     evaluated at the same points costs only its half-plane contraction.
-    A flow pass builds one table per node's positions and shares it between
-    the drift and every observer.
+    A flow pass builds one table per replica block of a node's positions and
+    shares it between the drift and every observer.
     """
 
     # a folded mode block up to this many entries is contracted through a

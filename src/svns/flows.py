@@ -293,12 +293,16 @@ class FlowObserver:
     its gradient already evaluated at the current positions.
 
     While run_flow calls accumulate, `table` holds the PhaseTable of the
-    node's positions that the drift was evaluated with; run_flow clears it
-    when accumulate returns. `node_table` returns it, or builds a table when the
-    observer is called outside run_flow.
+    positions the drift was evaluated at and `block` the slice of replicas
+    they belong to; `node_table` returns the table, or builds one outside
+    run_flow. An observer that sets `blockwise` sees one block of replicas
+    per call and writes its per-replica rows through `block`; any other
+    observer sees the whole ensemble at once.
     """
 
+    blockwise = False
     table: PhaseTable | None = None
+    block = slice(None)
 
     def node_table(self, ens: FlowEnsemble) -> PhaseTable:
         return self.table if self.table is not None else PhaseTable(ens.positions)
@@ -361,6 +365,11 @@ def _quadrature_weights(kind: str, steps: int, dt: float) -> np.ndarray:
     raise ValueError(f"unknown quadrature {kind!r}")
 
 
+# points per block of whole replicas (at least one) in run_flow: bounds a pass's
+# memory whatever the replica count; each replica's bits are the same in any block
+_BLOCK_POINTS = 4096
+
+
 def run_flow(ens: FlowEnsemble, drift: DriftField, nu: float, dt: float,
              steps: int, driver: BrownianDriver,
              observers: tuple[FlowObserver, ...] = (),
@@ -371,30 +380,44 @@ def run_flow(ens: FlowEnsemble, drift: DriftField, nu: float, dt: float,
     the observers and the step, so all observers see the same path: common
     random numbers across any functionals accumulated in one pass.
 
-    One PhaseTable of the node positions serves the drift (when it is a
-    DriftField; other drift objects get the raw positions) and every
-    observer, through the observers' `table` attribute. It is released
-    before the step, so no table outlives its node; the predictor stage
-    builds one table of its own.
+    Replicas never interact, so each node runs in blocks of whole replicas
+    of at most _BLOCK_POINTS points (one block unless every observer is
+    blockwise). One PhaseTable of a block's positions serves the drift (when
+    it is a DriftField; other drift objects get the raw positions) and every
+    observer, through `table`; it is released before the block's step, whose
+    predictor stage builds one table of its own.
     """
     _check_step(nu, dt)
     if weights is not None and len(weights) != steps + 1:
         raise ValueError("weights must have steps+1 entries")
     if driver.replicas != ens.replicas:
         raise ValueError("driver and ensemble disagree on the replica count")
+    blockwise = all(obs.blockwise for obs in observers)
+    size = max(1, _BLOCK_POINTS // max(1, ens.npoints)) if blockwise else ens.replicas
     for i in range(steps + 1):
-        table = PhaseTable(ens.positions)
-        v1, h1 = _drift_at(ens, drift, table if isinstance(drift, DriftField) else ens.positions)
         w = 0.0 if weights is None else float(weights[i])
-        for obs in observers:
-            obs.table = table
-            try:
-                obs.accumulate(i, ens.t, ens, v1, h1, w)
-            finally:
-                obs.table = None
-        del table
-        if i < steps:
-            ens = _step_core(ens, drift, nu, dt, driver.increments(ens.step_index, dt), v1, h1)
+        stepped = []
+        for s in range(0, ens.replicas, size):
+            b = slice(s, min(s + size, ens.replicas))
+            part = replace(ens, positions=ens.positions[b],
+                           jacobians=None if ens.jacobians is None else ens.jacobians[b])
+            table = PhaseTable(part.positions)
+            v1, h1 = _drift_at(part, drift,
+                               table if isinstance(drift, DriftField) else part.positions)
+            for obs in observers:
+                obs.table, obs.block = table, b
+                try:
+                    obs.accumulate(i, ens.t, part, v1, h1, w)
+                finally:
+                    obs.table, obs.block = None, slice(None)
+            del table
+            if i < steps:
+                dw = driver.increments(ens.step_index, dt, s, part.replicas)
+                stepped.append(_step_core(part, drift, nu, dt, dw, v1, h1))
+        if stepped:
+            ens = replace(stepped[0], positions=np.concatenate([e.positions for e in stepped]),
+                          jacobians=None if ens.jacobians is None
+                          else np.concatenate([e.jacobians for e in stepped]))
     return ens
 
 

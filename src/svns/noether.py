@@ -169,6 +169,8 @@ def _material_half(grid: TorusGrid, fh: np.ndarray, w: np.ndarray, nu: float,
 # ---------------------------------------------------------------------------
 
 class _InvarianceObserver(FlowObserver):
+    blockwise = True
+
     def __init__(self, pair: SymmetryPair, nu: float, nnodes: int, replicas: int):
         self.pair = pair
         self.nu = nu
@@ -190,10 +192,10 @@ class _InvarianceObserver(FlowObserver):
         if pair._eta_eval is not None:
             # L_t eta at the particles, same chain-rule form as the operator
             le1, le2 = _material_rows(table.evaluate(pair._eta_eval), v, self.nu, a, da)
-            self.lhs[node] = _lattice_quadrature(v[..., 0] * le1 + v[..., 1] * le2)
+            self.lhs[node, self.block] = _lattice_quadrature(v[..., 0] * le1 + v[..., 1] * le2)
         if pair._g_eval is not None:
             lg = _material_rows(table.evaluate(pair._g_eval), v, self.nu, a, da)[0]
-            self.rhs[node] = _lattice_quadrature(lg)
+            self.rhs[node, self.block] = _lattice_quadrature(lg)
 
 
 def invariance_check(pair: SymmetryPair, drift: DriftField, *, nu: float,

@@ -456,8 +456,8 @@ class DriftField:
                 grad = jacobian_matrix(SpectralVectorField(g, c))
                 c = np.concatenate([c, grad.reshape(4, g.n, g.n)])
             ev = PointEvaluator(g, c)
-            if len(self._cache) > 8:
-                self._cache.clear()
+            if len(self._cache) > 8:  # drop the oldest: a node's blocks share its entry
+                del self._cache[next(iter(self._cache))]
             self._cache[(t, with_gradient)] = ev
         return ev
 
@@ -499,31 +499,30 @@ class SampledDrift(DriftField):
         s = (t - traj.times[i]) / dt
         return i, s
 
-    def coeffs_at(self, t: float) -> np.ndarray:
+    def _hermite(self, t: float, derivative: bool):
+        """Bracket node i and the weights of v_i, v_i+1, r_i, r_i+1 (velocity
+        and tendency) in the cubic Hermite interpolant at t (its r weights
+        take a further factor dt) or in its time derivative; None at a node."""
         i, s = self._bracket(t)
         if s is None:
-            return self.traj.velocity_coeffs[i]
-        dt = self.traj.dt
-        h00 = 2 * s**3 - 3 * s**2 + 1
-        h10 = s**3 - 2 * s**2 + s
-        h01 = -2 * s**3 + 3 * s**2
-        h11 = s**3 - s**2
-        tr = self.traj
-        return (h00 * tr.velocity_coeffs[i] + h01 * tr.velocity_coeffs[i + 1]
-                + dt * (h10 * tr.rhs_coeffs[i] + h11 * tr.rhs_coeffs[i + 1]))
+            return i, None
+        if derivative:
+            dt = self.traj.dt
+            return i, ((6 * s**2 - 6 * s) / dt, (-6 * s**2 + 6 * s) / dt,
+                       3 * s**2 - 4 * s + 1, 3 * s**2 - 2 * s)
+        return i, (2 * s**3 - 3 * s**2 + 1, -2 * s**3 + 3 * s**2,
+                   s**3 - 2 * s**2 + s, s**3 - s**2)
+
+    def coeffs_at(self, t: float) -> np.ndarray:
+        i, w = self._hermite(t, False)
+        v, r = self.traj.velocity_coeffs, self.traj.rhs_coeffs
+        return v[i] if w is None else (w[0] * v[i] + w[1] * v[i + 1]
+                                       + self.traj.dt * (w[2] * r[i] + w[3] * r[i + 1]))
 
     def velocity_dt_coeffs_at(self, t: float) -> np.ndarray:
-        i, s = self._bracket(t)
-        if s is None:
-            return self.traj.rhs_coeffs[i]
-        dt = self.traj.dt
-        d00 = (6 * s**2 - 6 * s) / dt
-        d10 = 3 * s**2 - 4 * s + 1
-        d01 = (-6 * s**2 + 6 * s) / dt
-        d11 = 3 * s**2 - 2 * s
-        tr = self.traj
-        return (d00 * tr.velocity_coeffs[i] + d01 * tr.velocity_coeffs[i + 1]
-                + d10 * tr.rhs_coeffs[i] + d11 * tr.rhs_coeffs[i + 1])
+        i, w = self._hermite(t, True)
+        v, r = self.traj.velocity_coeffs, self.traj.rhs_coeffs
+        return r[i] if w is None else w[0] * v[i] + w[1] * v[i + 1] + w[2] * r[i] + w[3] * r[i + 1]
 
 
 class SteadyDrift(DriftField):

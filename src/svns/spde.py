@@ -562,12 +562,13 @@ class _TildeObserver(_ActionObserver):
             # left-endpoint Ito sums against the coming increment; the
             # driver is counter-based, so this reads the exact increment
             # the flow will consume for this step
-            dw = self.driver.increments(node, self.dt)
+            start, stop, _ = self.block.indices(self.mart.size)
+            dw = self.driver.increments(node, self.dt, start, stop - start)
             v1 = _lattice_quadrature(drift_values[..., 0])
             v2 = _lattice_quadrature(drift_values[..., 1])
             dm = np.sqrt(2.0 * self.nu) * dw
-            self.mart += v1 * dm[:, 0] + v2 * dm[:, 1]
-            self.wiener += v1 * dw[:, 0] + v2 * dw[:, 1]
+            self.mart[self.block] += v1 * dm[:, 0] + v2 * dm[:, 1]
+            self.wiener[self.block] += v1 * dw[:, 0] + v2 * dw[:, 1]
 
 
 def run_semimartingale_flow(drift: DriftField, pressure, *, nu: float, dt: float,

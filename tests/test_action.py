@@ -46,11 +46,14 @@ Oracles used here, each checkable by hand:
   tr H and det H maxima bit for bit (a = sin^2 >= 0 scales them exactly).
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from svns import flows
 from svns.action import (
     PerturbationField,
     SineSquaredEnvelope,
@@ -87,6 +90,7 @@ from svns.flows import (
     make_flow_ensemble,
     simpson_weights,
 )
+from svns.noether import invariance_check, translation_pair
 from svns.solver import (
     NSConfig,
     SampledDrift,
@@ -96,6 +100,7 @@ from svns.solver import (
     random_divergence_free,
     taylor_green,
 )
+from svns.spde import run_semimartingale_flow
 
 NU = 0.05
 DT = 1e-3
@@ -572,19 +577,59 @@ class TestObserverContractions:
         assert np.all(obs.c[phi_only, 1:] == 0.0)
 
     def test_replica_blocks_do_not_change_a_bit(self, ns_traj, perts, monkeypatch):
-        def one_pass():
-            return prepare_action_run(
-                SampledDrift(ns_traj), TrajectoryPressure(ns_traj), nu=NU, dt=DT,
-                t_final=T_SHORT, driver=BrownianDriver(seed=12, replicas=5),
-                perturbations=list(perts.values()), stride=4)
+        """Every observed flow pass gives the same bytes whether run_flow
+        marches one replica, two or the whole ensemble at a time."""
+        drift, pressure = SampledDrift(ns_traj), TrajectoryPressure(ns_traj)
+        kw = dict(nu=NU, dt=DT, t_final=T_SHORT, stride=4)
 
-        base = one_pass()
-        # 64 points per replica: blocks of 1, 2 and all 5 replicas
-        for block in (64, 128, 8192):
-            monkeypatch.setattr(_ActionObserver, "_BLOCK_POINTS", block)
-            run = one_pass()
-            for name in ("kinetic1", "kinetic2", "constraint_poly", "htr_max", "hdet_max"):
-                assert np.array_equal(getattr(run, name), getattr(base, name)), (block, name)
+        def passes():
+            def driver():
+                return BrownianDriver(seed=12, replicas=5)
+
+            run = prepare_action_run(drift, pressure, driver=driver(),
+                                     perturbations=list(perts.values()), **kw)
+            tilde = run_semimartingale_flow(drift, pressure, driver=driver(), **kw)
+            inv = invariance_check(translation_pair(ns_traj.grid, 0), drift,
+                                   driver=driver(), **kw)
+            el = euler_lagrange_residual(drift, pressure, perts["combo"], driver=driver(), **kw)
+            out = {name: getattr(run, name) for name in (
+                "kinetic0", "constraint0", "kinetic1", "kinetic2", "constraint_poly",
+                "htr_max", "hdet_max", "det_defect_max")}
+            out["positions"] = run.final_ensemble.positions
+            out["jacobians"] = run.final_ensemble.jacobians
+            out.update({f"tilde.{name}": getattr(tilde, name) for name in (
+                "kinetic", "constraint", "mart_pairing", "wiener_pairing")})
+            out.update({"invariance.defect": inv.defect, "invariance.stderr": inv.stderr,
+                        "pairing": [el.pairing, el.stderr, el.residual_norm]})
+            return {name: np.asarray(a).tobytes() for name, a in out.items()}
+
+        # 64 points per replica: blocks of all 5 replicas, then of 1 and 2
+        monkeypatch.setattr(flows, "_BLOCK_POINTS", 5 * 64)
+        base = passes()
+        for budget in (64, 128):
+            monkeypatch.setattr(flows, "_BLOCK_POINTS", budget)
+            got = passes()
+            assert [k for k in base if got[k] != base[k]] == [], budget
+
+    def test_pass_memory_is_flat_in_the_replica_count(self, ns_traj):
+        """The traced peak of an action pass is set by one block of replicas,
+        not by the ensemble: 16 replicas peak within 1.25x of 4 (one block)."""
+        t_final = 4 * DT
+        basis = default_perturbation_basis(ns_traj.grid, t_final)
+
+        def peak(replicas):
+            drift, pressure = SampledDrift(ns_traj), TrajectoryPressure(ns_traj)
+            tracemalloc.start()
+            try:
+                prepare_action_run(drift, pressure, nu=NU, dt=DT, t_final=t_final,
+                                   driver=BrownianDriver(seed=3, replicas=replicas),
+                                   perturbations=basis)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small, large = peak(4), peak(16)
+        assert large <= 1.25 * small, (small, large)
 
 
 class TestValidation:

@@ -360,6 +360,24 @@ class TestBandLayoutKernel:
         ref = F._to_band(grid, np.fft.rfft2(vals, norm="forward"))
         assert np.max(np.abs(F._band_transform(grid, vals) - ref)) <= 1e-14 * np.abs(ref).max()
 
+    @pytest.mark.parametrize("n", [46, 64, 128])
+    def test_pocketfft_band_passes_match_the_full_transforms(self, n):
+        """Above n = 44 the transforms run irfft2's and rfft2's passes on the
+        K+1 band columns alone: bit for bit the irfft2 of the zero-padded
+        half layout and the band of rfft2, as they were computed before."""
+        grid = F.TorusGrid(n)
+        b = grid.band
+        cb = F._to_band(grid, _band_limited(grid, seed=n, ncomp=2))
+        half = np.zeros((2, n, n // 2 + 1), dtype=np.complex128)
+        half[..., b.rows, : b.K + 1] = cb
+        for got, mult in zip(F._band_values(grid, cb), (1.0, grid.half.ik1, grid.half.ik2)):
+            ref = np.fft.irfft2(mult * half, s=(n, n), norm="forward")
+            assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+        vals = np.random.default_rng(n + 1).standard_normal((3, n, n))
+        ref = F._to_band(grid, np.fft.rfft2(vals, norm="forward"))
+        got = F._band_transform(grid, vals)
+        assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+
     @pytest.mark.parametrize("n", BAND_SIZES)
     def test_band_full_round_trip_is_exact(self, n):
         grid = F.TorusGrid(n)

@@ -361,6 +361,29 @@ class TestSampledDrift:
         # divergence-free: trace vanishes pointwise
         assert np.max(np.abs(h[:, 0, 0] + h[:, 1, 1])) < 1e-10
 
+    def test_hermite_weights_are_the_per_method_formulas(self):
+        """Both samplers share one bracket-and-weights helper, bit for bit the
+        interpolant and its time derivative written out term by term: at a
+        node time, mid-interval and in the last interval."""
+        traj = S.ns_solve(S.random_divergence_free(F.TorusGrid(16), seed=3, kmax=3),
+                          S.NSConfig(nu=0.05, dt=2e-3, t_final=0.02))
+        d = S.SampledDrift(traj)
+        v, r, dt = traj.velocity_coeffs, traj.rhs_coeffs, traj.dt
+        for t, i in ((0.01, 5), (0.007, 3), (0.0193, 9)):
+            got_v, got_dt = d.coeffs_at(t), d.velocity_dt_coeffs_at(t)
+            if t == 0.01:
+                want_v, want_dt = v[i], r[i]
+            else:
+                s = (t - traj.times[i]) / dt
+                h00, h10 = 2 * s**3 - 3 * s**2 + 1, s**3 - 2 * s**2 + s
+                h01, h11 = -2 * s**3 + 3 * s**2, s**3 - s**2
+                want_v = h00 * v[i] + h01 * v[i + 1] + dt * (h10 * r[i] + h11 * r[i + 1])
+                d00, d10 = (6 * s**2 - 6 * s) / dt, 3 * s**2 - 4 * s + 1
+                d01, d11 = (-6 * s**2 + 6 * s) / dt, 3 * s**2 - 2 * s
+                want_dt = d00 * v[i] + d01 * v[i + 1] + d10 * r[i] + d11 * r[i + 1]
+            assert got_v.tobytes() == want_v.tobytes(), t
+            assert got_dt.tobytes() == want_dt.tobytes(), t
+
     def test_out_of_range_rejected(self):
         d = S.SampledDrift(tg_trajectory(t_final=0.1))
         with pytest.raises(ValueError, match="outside"):
