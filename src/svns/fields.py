@@ -194,12 +194,12 @@ class _BandGrid(_Modes):
         self.minus_leray = (kk[:, None] * kk[None, :] / self.k_squared_safe
                             - np.eye(2)[..., None, None])
         self.minus_leray.setflags(write=False)
-        # the largest matmul of a transform (the inverse columns step) is
-        # (2n x 4(K+1)) times (4(K+1) x n); above _SERIAL_GEMM OpenBLAS splits a
-        # gemm's output between threads, and the entries at the edges of the
-        # split round differently, so larger grids transform by pocketfft
-        # (single-threaded, and the cheaper one there) to keep the march
-        # independent of the thread count
+        # _advection_band's inverse columns step, (2n x 4(K+1)) times (4(K+1) x n),
+        # is the largest matmul of either march kernel (_vorticity_advection_band's
+        # take n rows); above _SERIAL_GEMM OpenBLAS splits a gemm's output between
+        # threads, and the entries at the edges of the split round differently, so
+        # larger grids transform by pocketfft (single-threaded, and the cheaper
+        # one there) to keep the marches independent of the thread count
         self.matmul = 2 * n * 4 * (big_k + 1) * n <= _SERIAL_GEMM
         if not self.matmul:
             return
@@ -378,6 +378,22 @@ def _to_band(grid: TorusGrid, c: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(c[..., grid.band.rows, : grid.band.K + 1])
 
 
+def _band_irfft(grid: TorusGrid, cb: np.ndarray) -> np.ndarray:
+    """Grid values (..., n, n) of band-layout coefficients (..., 2K+1, K+1):
+    irfft2's passes on the K+1 band columns alone, padded implicitly."""
+    b, n = grid.band, grid.n
+    cols = np.zeros(cb.shape[:-2] + (n, b.K + 1), dtype=np.complex128)
+    cols[..., b.rows, :] = cb
+    return np.fft.irfft(np.fft.ifft(cols, axis=-2, norm="forward"), n, norm="forward")
+
+
+def _band_rows(grid: TorusGrid, cb: np.ndarray, d1: bool = True) -> np.ndarray:
+    """The matmul rows step of band coefficients (..., 2K+1, K+1), last axis
+    contiguous: n rows (..., n, 4(K+1)) for the values, then n for d1 if set."""
+    x = grid.band.inv_rows[:(4 if d1 else 2) * grid.n] @ cb.view(np.float64)
+    return x.reshape(x.shape[:-2] + (-1, 4 * (grid.band.K + 1)))
+
+
 def _band_values(grid: TorusGrid, cb: np.ndarray):
     """Grid values of band-layout coefficients (..., 2K+1, K+1), whose last
     axis must be contiguous, and of their d1 and d2 derivatives, each
@@ -386,13 +402,9 @@ def _band_values(grid: TorusGrid, cb: np.ndarray):
     serial matmul)."""
     b, n = grid.band, grid.n
     if not b.matmul:
-        # irfft2's passes on the K+1 band columns alone, padded implicitly
-        cols = np.zeros(cb.shape[:-2] + (3, n, b.K + 1), dtype=np.complex128)
-        cols[..., b.rows, :] = np.stack([cb, b.ik1 * cb, b.ik2 * cb], axis=-3)
-        cols = np.fft.ifft(cols, axis=-2, norm="forward")
-        return tuple(np.moveaxis(np.fft.irfft(cols, n, norm="forward"), -3, 0))
-    x = b.inv_rows @ cb.view(np.float64)
-    x = x.reshape(x.shape[:-2] + (2 * n, -1))
+        vals = _band_irfft(grid, np.stack([cb, b.ik1 * cb, b.ik2 * cb], axis=-3))
+        return tuple(np.moveaxis(vals, -3, 0))
+    x = _band_rows(grid, cb)
     rows = x @ b.inv_cols
     return rows[..., :n, :], rows[..., n:, :], x[..., :n, :] @ b.inv_cols_d2
 
@@ -417,6 +429,22 @@ def _advection_band(grid: TorusGrid, c: np.ndarray):
     d2 *= w[..., 1:, :, :]
     prod += d2
     return _band_transform(grid, prod), w
+
+
+def _vorticity_advection_band(grid: TorusGrid, c: np.ndarray, om: np.ndarray):
+    """Dealiased (v . grad) omega of band-layout velocity c (..., 2, 2K+1, K+1)
+    with vorticity om (..., 2K+1, K+1), and the grid values of v (..., 2, n, n),
+    by four inverse transforms (v1, v2, d1 omega, d2 omega) and one forward
+    (Canuto et al., Spectral Methods, 2006, vorticity-streamfunction form)."""
+    b, n = grid.band, grid.n
+    if not b.matmul:
+        vals = _band_irfft(grid, np.concatenate([c, np.stack([b.ik1 * om, b.ik2 * om], -3)], -3))
+        w, g1, g2 = vals[..., :2, :, :], vals[..., 2, :, :], vals[..., 3, :, :]
+    else:
+        w = _band_rows(grid, c, d1=False) @ b.inv_cols
+        x = _band_rows(grid, om)
+        g1, g2 = x[..., n:, :] @ b.inv_cols, x[..., :n, :] @ b.inv_cols_d2
+    return _band_transform(grid, w[..., 0, :, :] * g1 + w[..., 1, :, :] * g2), w
 
 
 def transform(grid: TorusGrid, values: np.ndarray) -> SpectralField:

@@ -293,16 +293,18 @@ class FlowObserver:
     its gradient already evaluated at the current positions.
 
     While run_flow calls accumulate, `table` holds the PhaseTable of the
-    positions the drift was evaluated at and `block` the slice of replicas
-    they belong to; `node_table` returns the table, or builds one outside
-    run_flow. An observer that sets `blockwise` sees one block of replicas
-    per call and writes its per-replica rows through `block`; any other
-    observer sees the whole ensemble at once.
+    positions the drift was evaluated at, `block` the slice of replicas
+    they belong to and `dw` their increments for the step out of the node
+    (None at the last); `node_table` returns the table, or builds one
+    outside run_flow. An observer that sets `blockwise` sees one block of
+    replicas per call and writes its per-replica rows through `block`; any
+    other observer sees the whole ensemble at once.
     """
 
     blockwise = False
     table: PhaseTable | None = None
     block = slice(None)
+    dw: np.ndarray | None = None
 
     def node_table(self, ens: FlowEnsemble) -> PhaseTable:
         return self.table if self.table is not None else PhaseTable(ens.positions)
@@ -404,15 +406,16 @@ def run_flow(ens: FlowEnsemble, drift: DriftField, nu: float, dt: float,
             table = PhaseTable(part.positions)
             v1, h1 = _drift_at(part, drift,
                                table if isinstance(drift, DriftField) else part.positions)
+            dw = (driver.increments(ens.step_index, dt, s, part.replicas) if i < steps
+                  else None)
             for obs in observers:
-                obs.table, obs.block = table, b
+                obs.table, obs.block, obs.dw = table, b, dw
                 try:
                     obs.accumulate(i, ens.t, part, v1, h1, w)
                 finally:
-                    obs.table, obs.block = None, slice(None)
+                    obs.table, obs.block, obs.dw = None, slice(None), None
             del table
-            if i < steps:
-                dw = driver.increments(ens.step_index, dt, s, part.replicas)
+            if dw is not None:
                 stepped.append(_step_core(part, drift, nu, dt, dw, v1, h1))
         if stepped:
             ens = replace(stepped[0], positions=np.concatenate([e.positions for e in stepped]),

@@ -25,11 +25,11 @@ equation re-emerges in the mean without any viscous term in the dynamics.
 Both integrators keep the per-mode noise action diagonal (the transport
 phase i sqrt(2 nu)(k . dW) multiplies each coefficient), so the noise adds
 no aliasing and commutes with the curl. The steps therefore march the
-scalar vorticity omega = d1 v2 - d2 v1 on the 2/3-rule band, whose
-dealiased advection (v . grad) omega is the curl of the band advection
-(v . grad) v of the Navier-Stokes march's kernel, and rebuild the velocity
-from omega by Biot-Savart, divergence-free by construction and with its
-mean mode carried unchanged; the velocity form's projections drop out.
+scalar vorticity omega = d1 v2 - d2 v1 on the 2/3-rule band, advected
+directly by the dealiased (v . grad) omega (five band transforms where the
+curl of (v . grad) v takes eight), and rebuild the velocity from omega by
+Biot-Savart, divergence-free by construction and with its mean mode
+carried unchanged; the velocity form's projections drop out.
 Every ensemble is marched in replica blocks of a fixed byte budget through
 one march, as tasks on a pool of one thread per usable CPU. Noise is drawn
 on the calling thread from the counter-based driver and each block writes
@@ -58,7 +58,6 @@ from .fields import (
     TWO_PI,
     SpectralVectorField,
     TorusGrid,
-    _advection_band,
     _advection_half,
     _biot_savart,
     _leray,
@@ -66,6 +65,7 @@ from .fields import (
     _to_band,
     _to_full,
     _to_half,
+    _vorticity_advection_band,
     parseval_integral,
 )
 from .flows import BrownianDriver, _lattice_quadrature, _observed_pass, _replica_stderr
@@ -194,11 +194,6 @@ def _check_compat(grid: TorusGrid, replicas: int, config: SPDEConfig,
         raise ValueError("driver and state disagree on the replica count")
 
 
-def _curl(modes, v: np.ndarray) -> np.ndarray:
-    """d1 v2 - d2 v1 of velocity coefficients v (..., 2, rows, width)."""
-    return modes.ik1 * v[..., 1, :, :] - modes.ik2 * v[..., 0, :, :]
-
-
 def _advance_band(grid: TorusGrid, config: SPDEConfig, c: np.ndarray,
                   dw: np.ndarray, stratonovich: bool) -> np.ndarray:
     """One step on band-layout velocity coefficients c of shape
@@ -206,16 +201,17 @@ def _advance_band(grid: TorusGrid, config: SPDEConfig, c: np.ndarray,
 
     The uniform noise phase commutes with the curl, and under the 2/3 rule
     the dealiased (v . grad) omega of a divergence-free v is the curl of
-    the band advection (v . grad) v, so the update is the velocity
-    equation's with one scalar advected in place of two components and no
-    projection. The velocity returned is the Biot-Savart velocity of the
-    new vorticity, divergence-free by construction, with the mean mode
-    carried over: advection, viscosity and the phase all leave it fixed.
+    the dealiased (v . grad) v, so the update is the velocity equation's
+    with one scalar advected in place of two components and no projection.
+    The velocity returned is the Biot-Savart velocity of the new vorticity,
+    divergence-free by construction, with the mean mode carried over:
+    advection, viscosity and the phase all leave it fixed.
     """
     b = grid.band
     dt = config.dt
     nu = config.nu
-    adv, w = _advection_band(grid, c)
+    om = b.ik1 * c[..., 1, :, :] - b.ik2 * c[..., 0, :, :]
+    a0, w = _vorticity_advection_band(grid, c, om)
     displacement = dt * float(np.max(np.abs(w))) + np.sqrt(2.0 * nu) * float(
         np.max(np.abs(dw)))
     budget = config.cfl_limit * (2.0 * np.pi / grid.n)
@@ -225,14 +221,12 @@ def _advance_band(grid: TorusGrid, config: SPDEConfig, c: np.ndarray,
             f"{budget:.3g} (limit {config.cfl_limit} cells)")
     mean = c[..., 0, 0]
     theta = _transport_phase(b, nu, dw)
-    om = _curl(b, c)
-    a0 = _curl(b, adv)
     if stratonovich:
         n0 = 1j * theta * om
         pred = om - dt * a0 + n0
         vp = _biot_savart(grid, pred)
         vp[..., 0, 0] = mean
-        a1 = _curl(b, _advection_band(grid, vp)[0])
+        a1 = _vorticity_advection_band(grid, vp, pred)[0]
         onew = om - 0.5 * dt * (a0 + a1) + 0.5 * (n0 + 1j * theta * pred)
     else:
         onew = om - dt * (a0 + nu * b.k_squared * om) + 1j * theta * om
@@ -488,6 +482,8 @@ def ensemble_mode_means(v0: SpectralVectorField, config: SPDEConfig, seed: int,
             f"mode means need at least 2 replicas for a standard error, got {config.replicas}")
     if chunk_size < 1:
         raise ValueError(f"chunk_size must be positive, got {chunk_size}")
+    if len(modes) == 0:
+        raise ValueError("need at least one mode")
     g = v0.grid
     ks = set(g.k.tolist())
     for comp, k1, k2 in modes:
@@ -548,27 +544,21 @@ class SemimartingaleFlowRun:
 class _TildeObserver(_ActionObserver):
     """The action observer with no directions, plus the dM and dW pairings."""
 
-    def __init__(self, grid, pressure, nu, dt, steps, driver, replicas):
+    def __init__(self, grid, pressure, nu, replicas):
         super().__init__(grid, pressure, (), replicas, nu)
-        self.dt = dt
-        self.steps = steps
-        self.driver = driver
         self.mart = np.zeros(replicas)
         self.wiener = np.zeros(replicas)
 
     def accumulate(self, node, t, ens, drift_values, drift_grads, weight):
         super().accumulate(node, t, ens, drift_values, drift_grads, weight)
-        if node < self.steps:
-            # left-endpoint Ito sums against the coming increment; the
-            # driver is counter-based, so this reads the exact increment
-            # the flow will consume for this step
-            start, stop, _ = self.block.indices(self.mart.size)
-            dw = self.driver.increments(node, self.dt, start, stop - start)
+        if self.dw is not None:
+            # left-endpoint Ito sums against the increment the flow's
+            # coming step consumes
             v1 = _lattice_quadrature(drift_values[..., 0])
             v2 = _lattice_quadrature(drift_values[..., 1])
-            dm = np.sqrt(2.0 * self.nu) * dw
+            dm = np.sqrt(2.0 * self.nu) * self.dw
             self.mart[self.block] += v1 * dm[:, 0] + v2 * dm[:, 1]
-            self.wiener[self.block] += v1 * dw[:, 0] + v2 * dw[:, 1]
+            self.wiener[self.block] += v1 * self.dw[:, 0] + v2 * self.dw[:, 1]
 
 
 def run_semimartingale_flow(drift: DriftField, pressure, *, nu: float, dt: float,
@@ -577,8 +567,7 @@ def run_semimartingale_flow(drift: DriftField, pressure, *, nu: float, dt: float
                             quadrature: str = "simpson") -> SemimartingaleFlowRun:
     """One flow pass accumulating everything the pathwise action needs."""
     obs, _ = _observed_pass(
-        drift, lambda replicas, steps: _TildeObserver(drift.grid, pressure, nu, dt, steps,
-                                                      driver, replicas),
+        drift, lambda replicas, steps: _TildeObserver(drift.grid, pressure, nu, replicas),
         nu=nu, dt=dt, t_final=t_final, driver=driver, ensemble=ensemble,
         stride=stride, quadrature=quadrature)
     return SemimartingaleFlowRun(drift.grid, nu, dt, t_final, obs.k0, obs.b0,

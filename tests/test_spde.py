@@ -59,7 +59,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from svns import spde
+from svns import flows, spde
 from svns.action import (
     StaticPressure,
     TrajectoryPressure,
@@ -79,7 +79,13 @@ from svns.fields import (
     leray_project,
     vector_transform,
 )
-from svns.flows import BrownianDriver, make_flow_ensemble
+from svns.flows import (
+    BrownianDriver,
+    FlowObserver,
+    _lattice_quadrature,
+    make_flow_ensemble,
+    run_flow,
+)
 from svns.solver import (
     CFLError,
     NSConfig,
@@ -780,6 +786,16 @@ class TestMeanDecay:
         with pytest.raises(ValueError, match="not representable"):
             ensemble_mode_means(shear, cfg, seed=1, modes=[(0, 20, 0)])
 
+    def test_no_modes_rejected_before_any_march(self, grid, shear, monkeypatch):
+        def no_march(*args, **kwargs):
+            raise AssertionError("marched with no modes to read")
+
+        monkeypatch.setattr(spde, "_solve_band", no_march)
+        cfg = SPDEConfig(grid=grid, nu=NU, dt=5e-3, t_final=5e-3, replicas=4,
+                         scheme="ito")
+        with pytest.raises(ValueError, match="at least one mode"):
+            ensemble_mode_means(shear, cfg, seed=1, modes=[])
+
     def test_single_replica_rejected(self, grid, shear):
         cfg = SPDEConfig(grid=grid, nu=NU, dt=5e-3, t_final=5e-3, replicas=1,
                          scheme="ito")
@@ -925,6 +941,48 @@ class TestTildeAction:
                                   driver=BrownianDriver(seed=5, replicas=4))
         assert np.array_equal(tilde.kinetic, arun.kinetic0)
         assert np.array_equal(tilde.constraint, arun.constraint0)
+
+    def test_pairings_read_the_flow_increments(self, grid, ns_pieces):
+        """The pass draws each increment once, for the flow's step, and the
+        pairings equal sums against increments drawn anew per block."""
+        drift, pressure = ns_pieces
+        dt, steps, replicas = 1e-3, 10, 8
+
+        class Counting(BrownianDriver):
+            calls = 0
+
+            def increments(self, *args, **kwargs):
+                self.calls += 1
+                return super().increments(*args, **kwargs)
+
+        class Pairings(FlowObserver):
+            blockwise = True
+
+            def __init__(self, driver):
+                self.driver = driver
+                self.mart = np.zeros(replicas)
+                self.wiener = np.zeros(replicas)
+
+            def accumulate(self, node, t, ens, drift_values, drift_grads, weight):
+                if node < steps:
+                    start, stop, _ = self.block.indices(replicas)
+                    dw = self.driver.increments(node, dt, start, stop - start)
+                    v1 = _lattice_quadrature(drift_values[..., 0])
+                    v2 = _lattice_quadrature(drift_values[..., 1])
+                    dm = np.sqrt(2.0 * NU) * dw
+                    self.mart[self.block] += v1 * dm[:, 0] + v2 * dm[:, 1]
+                    self.wiener[self.block] += v1 * dw[:, 0] + v2 * dw[:, 1]
+
+        drv = Counting(seed=402, replicas=replicas)
+        run = run_semimartingale_flow(drift, pressure, nu=NU, dt=dt, t_final=steps * dt,
+                                      driver=drv)
+        blocks = -(-replicas * grid.n**2 // flows._BLOCK_POINTS)
+        assert blocks > 1 and drv.calls == steps * blocks
+        ref = Pairings(BrownianDriver(seed=402, replicas=replicas))
+        run_flow(make_flow_ensemble(grid, replicas), drift, NU, dt, steps,
+                 BrownianDriver(seed=402, replicas=replicas), observers=(ref,))
+        assert run.mart_pairing.tobytes() == ref.mart.tobytes()
+        assert run.wiener_pairing.tobytes() == ref.wiener.tobytes()
 
     def test_matches_the_averaged_action(self, ns_pieces, tilde_run):
         drift, pressure = ns_pieces
