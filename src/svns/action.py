@@ -281,8 +281,6 @@ class _ActionObserver(FlowObserver):
     through its own sum (phi-only directions have no other terms).
     """
 
-    blockwise = True
-
     def __init__(self, grid: TorusGrid, pressure, perts: tuple[PerturbationField, ...],
                  replicas: int, nu: float):
         if pressure.grid != grid:
@@ -540,8 +538,6 @@ class ELResidual:
 
 
 class _PairingObserver(FlowObserver):
-    blockwise = True
-
     def __init__(self, grid, drift, pressure, pert, nu, replicas):
         self.grid = grid
         self.drift = drift

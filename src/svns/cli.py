@@ -185,7 +185,7 @@ def load_config(path=None, sets=(), flags=None) -> dict:
                           f"choose one of {', '.join(EXPERIMENTS)}")
     defaults = _DEFAULTS[experiment]
     cfg = dict(defaults, experiment=experiment)
-    # file and --set values first, then flags; argparse has typed some flags
+    # file and --set values first, then flags; every value but --force's is text
     given = [(key, value, f"unknown key {key!r} for experiment {experiment}")
              for key, value in raw.items()]
     given += [(key, value, f"flag --{key.replace('_', '-')} does not apply to "
@@ -409,11 +409,11 @@ def _load_symmetry(cfg: dict, grid: TorusGrid) -> SymmetryPair:
 
 
 def _run_noether(cfg: dict):
+    pair = _load_symmetry(cfg, TorusGrid(cfg["n"]))  # before the solve
     # the drift probe branches eps_steps beyond its last sample time, so the
     # stored trajectory carries that margin; reports cover [0, t_final]
-    grid, traj = _random_ns_pieces(cfg, extra_steps=cfg["eps_steps"])
+    _, traj = _random_ns_pieces(cfg, extra_steps=cfg["eps_steps"])
     nodes = _horizon_steps(cfg["nu"], cfg["dt"], cfg["t_final"]) + 1
-    pair = _load_symmetry(cfg, grid)
     drift = SampledDrift(traj)
     deterministic = noether_residual(pair, traj)
     inv = invariance_check(pair, drift, nu=cfg["nu"], dt=cfg["dt"],
@@ -510,16 +510,17 @@ def _build_parser() -> argparse.ArgumentParser:
     par = argparse.ArgumentParser(
         prog="svns",
         description="Run one verification experiment and write CSV/JSON reports.")
-    par.add_argument("--experiment", choices=EXPERIMENTS,
-                     help="which experiment to run (or set it in the config file)")
+    par.add_argument("--experiment",
+                     help=f"which experiment to run: {', '.join(EXPERIMENTS)} "
+                          "(or set it in the config file)")
     par.add_argument("--config", help="flat key = value configuration file")
     par.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                      help="override one configuration key (repeatable)")
-    par.add_argument("--seed", type=int, help="driver seed (64-bit)")
+    par.add_argument("--seed", help="driver seed (64-bit)")
     par.add_argument("--out", help="report directory (default: current)")
     par.add_argument("--report", help="CSV report path (overrides out)")
-    par.add_argument("--replicas", type=int, help="Monte Carlo replica count")
-    par.add_argument("--dt", type=float, help="time step")
+    par.add_argument("--replicas", help="Monte Carlo replica count")
+    par.add_argument("--dt", help="time step")
     par.add_argument("--save-trajectory", dest="save_trajectory",
                      help="ns-verify: directory for the solved trajectory")
     par.add_argument("--perturbation-modes", dest="perturbation_modes",
@@ -527,20 +528,19 @@ def _build_parser() -> argparse.ArgumentParser:
                           "or 'all'")
     par.add_argument("--epsilon-ladder", dest="epsilon_ladder",
                      help="criticality: comma-separated decreasing eps values")
-    par.add_argument("--symmetry", choices=("translation-x", "translation-y",
-                                            "custom"),
-                     help="noether: symmetry to test")
+    par.add_argument("--symmetry", help="noether: symmetry to test: translation-x, "
+                                        "translation-y or custom")
     par.add_argument("--symmetry-file", dest="symmetry_file",
                      help="noether: field snapshot for --symmetry custom")
     par.add_argument("--force", action="store_const", const=True,
                      help="noether: report diagnostics even when the "
                           "invariance precheck fails; checks become advisory")
-    par.add_argument("--branches", type=int,
+    par.add_argument("--branches",
                      help="noether: branches per replica for the drift probe")
-    par.add_argument("--eps-steps", dest="eps_steps", type=int,
+    par.add_argument("--eps-steps", dest="eps_steps",
                      help="noether: branch horizon in steps")
-    par.add_argument("--scheme", choices=("ito", "stratonovich-heun"),
-                     help="spde-converge: integrator formulation")
+    par.add_argument("--scheme", help="spde-converge: integrator formulation: ito or "
+                                      "stratonovich-heun")
     par.add_argument("--dt-ladder", dest="dt_ladder",
                      help="spde-converge: comma-separated decreasing steps")
     par.add_argument("--describe", action="store_true",

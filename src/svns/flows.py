@@ -292,16 +292,15 @@ class FlowObserver:
     caller asked for no quadrature), drift_values/drift_grads the drift and
     its gradient already evaluated at the current positions.
 
-    While run_flow calls accumulate, `table` holds the PhaseTable of the
-    positions the drift was evaluated at, `block` the slice of replicas
-    they belong to and `dw` their increments for the step out of the node
+    run_flow calls accumulate once per block of replicas at every node, so
+    `ens` and the drift arrays hold that block only, and the observer writes
+    its per-replica rows through `block`, the slice of the block's replicas.
+    Meanwhile `table` holds the PhaseTable of the positions the drift was
+    evaluated at and `dw` their increments for the step out of the node
     (None at the last); `node_table` returns the table, or builds one
-    outside run_flow. An observer that sets `blockwise` sees one block of
-    replicas per call and writes its per-replica rows through `block`; any
-    other observer sees the whole ensemble at once.
+    outside run_flow.
     """
 
-    blockwise = False
     table: PhaseTable | None = None
     block = slice(None)
     dw: np.ndarray | None = None
@@ -383,9 +382,9 @@ def run_flow(ens: FlowEnsemble, drift: DriftField, nu: float, dt: float,
     random numbers across any functionals accumulated in one pass.
 
     Replicas never interact, so each node runs in blocks of whole replicas
-    of at most _BLOCK_POINTS points (one block unless every observer is
-    blockwise). One PhaseTable of a block's positions serves the drift (when
-    it is a DriftField; other drift objects get the raw positions) and every
+    of at most _BLOCK_POINTS points, and every observer is called once per
+    block. One PhaseTable of a block's positions serves the drift (when it
+    is a DriftField; other drift objects get the raw positions) and every
     observer, through `table`; it is released before the block's step, whose
     predictor stage builds one table of its own.
     """
@@ -394,8 +393,7 @@ def run_flow(ens: FlowEnsemble, drift: DriftField, nu: float, dt: float,
         raise ValueError("weights must have steps+1 entries")
     if driver.replicas != ens.replicas:
         raise ValueError("driver and ensemble disagree on the replica count")
-    blockwise = all(obs.blockwise for obs in observers)
-    size = max(1, _BLOCK_POINTS // max(1, ens.npoints)) if blockwise else ens.replicas
+    size = max(1, _BLOCK_POINTS // max(1, ens.npoints))
     for i in range(steps + 1):
         w = 0.0 if weights is None else float(weights[i])
         stepped = []

@@ -169,8 +169,6 @@ def _material_half(grid: TorusGrid, fh: np.ndarray, w: np.ndarray, nu: float,
 # ---------------------------------------------------------------------------
 
 class _InvarianceObserver(FlowObserver):
-    blockwise = True
-
     def __init__(self, pair: SymmetryPair, nu: float, nnodes: int, replicas: int):
         self.pair = pair
         self.nu = nu
@@ -236,6 +234,9 @@ def noether_residual(pair: SymmetryPair, traj: NSTrajectory) -> NoetherReport:
     identically; the function reports r for any pair, symmetry or not.
     """
     g = traj.grid
+    if pair.grid != g:
+        raise ValueError(f"pair lives on an n = {pair.grid.n} grid, "
+                         f"the trajectory on n = {g.n}")
     nnodes = len(traj.times)
     residual = np.zeros(nnodes)
     charge = np.zeros(nnodes)

@@ -290,22 +290,10 @@ def _march(grid: TorusGrid, config: SPDEConfig, c: np.ndarray,
     return out
 
 
-def _step(state: SPDEState, config: SPDEConfig, driver: BrownianDriver,
-          stratonovich: bool) -> SPDEState:
-    """One step with the driver's increments for the state's step index."""
-    g = state.grid
-    _check_compat(g, state.replicas, config, driver)
-    dw = driver.increments(state.step_index, config.dt)
-    cnew = _to_full(g, _march(g, config, _to_band(g, state.coeffs), dw[None],
-                              stratonovich))
-    return SPDEState(g, cnew, state.t + config.dt, state.step_index + 1,
-                     state.brownian + dw)
-
-
 def spde_step_ito(state: SPDEState, config: SPDEConfig,
                   driver: BrownianDriver) -> SPDEState:
     """Euler-Maruyama step of the Ito form (explicit viscosity, raw noise)."""
-    return _step(state, config, driver, stratonovich=False)
+    return spde_solve(state, replace(config, t_final=config.dt, scheme="ito"), driver)
 
 
 def spde_step_stratonovich(state: SPDEState, config: SPDEConfig,
@@ -313,18 +301,12 @@ def spde_step_stratonovich(state: SPDEState, config: SPDEConfig,
     """Heun step of the Stratonovich form: predictor with the increment,
     corrector averaging drift and noise coefficients; no explicit viscous
     term - the Heun average supplies the Ito-Stratonovich correction."""
-    return _step(state, config, driver, stratonovich=True)
+    return spde_solve(state, replace(config, t_final=config.dt,
+                                     scheme="stratonovich-heun"), driver)
 
 
 def spde_solve(v0, config: SPDEConfig, driver: BrownianDriver) -> SPDEState:
     """March a state (or a field, broadcast to all replicas) to t_final."""
-    g, c, t, step, brownian = _solve_band(v0, config, driver)
-    return SPDEState(g, _to_full(g, c), t, step, brownian)
-
-
-def _solve_band(v0, config: SPDEConfig, driver: BrownianDriver):
-    """spde_solve with the final coefficients left in the band layout:
-    (grid, coefficients, t, step index, Brownian endpoints)."""
     if isinstance(v0, SPDEState):
         g, c = v0.grid, _to_band(v0.grid, v0.coeffs)
         step, t, brownian = v0.step_index, v0.t, v0.brownian.copy()
@@ -338,7 +320,7 @@ def _solve_band(v0, config: SPDEConfig, driver: BrownianDriver):
     for dw in increments:
         brownian += dw
         t += config.dt
-    return g, c, t, step + config.steps, brownian
+    return SPDEState(g, _to_full(g, c), t, step + config.steps, brownian)
 
 
 def diagnostic_pressure(state: SPDEState) -> np.ndarray:
@@ -451,30 +433,17 @@ class ModeStat:
     replicas: int
 
 
-class _ReplicaRows:
-    """Stands in for a driver of `count` replicas: rows start..start+count
-    of every increment the full driver draws, drawn alone, so a replica's
-    noise does not depend on which chunk it is marched in."""
-
-    def __init__(self, driver: BrownianDriver, start: int, count: int):
-        self.driver = driver
-        self.start = start
-        self.replicas = count
-
-    def increments(self, step: int, dt: float) -> np.ndarray:
-        return self.driver.increments(step, dt, self.start, self.replicas)
-
-
 def ensemble_mode_means(v0: SpectralVectorField, config: SPDEConfig, seed: int,
                         modes, chunk_size: int = 1000) -> list[ModeStat]:
     """Mean of selected coefficients at t_final over config.replicas replicas.
 
     modes are (component, k1, k2) integer triples. All replicas draw from
-    one driver of config.replicas replicas keyed on seed; they are marched
-    in chunks of at most chunk_size, each chunk reading its own rows of
-    that driver, and the selected values of every replica are reduced once
-    at the end. chunk_size therefore bounds memory only: the result is a
-    pure function of (seed, replica count, parameters), bit for bit. The
+    one driver of config.replicas replicas keyed on seed. They are marched
+    from one shared initial band in chunks of at most chunk_size, each chunk
+    drawing only its own rows of that driver and marching them in replica
+    blocks like spde_solve; the selected values of every replica are reduced
+    once at the end. chunk_size therefore bounds memory only: the result is
+    a pure function of (seed, replica count, parameters), bit for bit. The
     standard errors need at least two replicas.
     """
     if config.replicas < 2:
@@ -497,10 +466,15 @@ def ensemble_mode_means(v0: SpectralVectorField, config: SPDEConfig, seed: int,
     on = np.maximum(np.abs(rows), cols) <= g.band.K
     total = config.replicas
     driver = BrownianDriver(seed=seed, replicas=total)
+    _check_compat(g, total, config, driver)
+    c0 = _initial_band(v0, min(chunk_size, total))
+    strat = config.scheme == "stratonovich-heun"
     vals = np.zeros((total, len(comps)), dtype=complex)
     for start in range(0, total, chunk_size):
         r = min(chunk_size, total - start)
-        c = _solve_band(v0, replace(config, replicas=r), _ReplicaRows(driver, start, r))[1]
+        increments = np.stack([driver.increments(i, config.dt, start, r)
+                               for i in range(config.steps)])
+        c = _march(g, config, c0[:r], increments, strat)
         vals[start:start + r, on] = c[:, comps[on], rows[on], cols[on]]
     vals[:, mirror] = vals[:, mirror].conj()
     means = vals.mean(axis=0)

@@ -19,7 +19,9 @@ import numpy as np
 import pytest
 
 from svns.cli import (
+    _DEFAULTS,
     ConfigError,
+    _build_parser,
     describe_config,
     load_config,
     main,
@@ -226,6 +228,12 @@ class TestConfig:
         "noether-stride-not-dividing": ("--experiment", "noether", "--set", "stride=5"),
         "noether-missing-symmetry-file": ("--experiment", "noether", "--symmetry", "custom",
                                           "--symmetry-file", "no-such-snapshot.txt"),
+        # flag values parse like config keys, with one error line and exit 2
+        "flag-replicas-not-an-int": ("--experiment", "criticality", "--replicas", "abc"),
+        "flag-dt-not-a-number": ("--experiment", "ns-verify", "--dt", "x"),
+        "flag-unknown-symmetry": ("--experiment", "noether", "--symmetry", "foo"),
+        "flag-unknown-scheme": ("--experiment", "spde-converge", "--scheme", "bogus"),
+        "flag-unknown-experiment": ("--experiment", "bogus"),
     }
 
     @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
@@ -238,6 +246,14 @@ class TestConfig:
         assert run_cli(*self.BAD_INPUTS[case], "--out", tmp_path) == 2
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
+
+    def test_config_flags_have_one_parse_path(self):
+        """argparse leaves every config flag as text: its value is parsed by
+        the config table's _parser alone, so a bad one is a ConfigError."""
+        keys = {"experiment"}.union(*(set(d) for d in _DEFAULTS.values()))
+        actions = [a for a in _build_parser()._actions if a.dest in keys]
+        assert {a.dest for a in actions} >= {"experiment", "seed", "replicas", "dt"}
+        assert [a.dest for a in actions if a.type is not None or a.choices is not None] == []
 
     def test_bad_input_prints_no_traceback(self):
         src = str(Path(__file__).resolve().parents[1] / "src")
@@ -435,7 +451,12 @@ class TestNoether:
         _, doc = read_reports(tmp_path, "noether")
         assert "momentum-drift-rate" not in [c["name"] for c in doc["checks"]]
 
-    def test_custom_snapshot_on_wrong_grid(self, tmp_path):
+    def test_custom_snapshot_on_wrong_grid(self, tmp_path, capsys, monkeypatch):
+        """The snapshot's grid is checked before the trajectory is solved."""
+        def refuse(*args, **kwargs):
+            pytest.fail("solved a trajectory for a symmetry on the wrong grid")
+
+        monkeypatch.setattr("svns.cli.ns_solve", refuse)
         grid = TorusGrid(16)
         snap = tmp_path / "eta16.npz"
         save_field_snapshot(
@@ -445,6 +466,7 @@ class TestNoether:
                        "--symmetry", "custom", "--symmetry-file", snap,
                        "--set", "t_final=0.05",
                        "--set", "probe_times=0.05") == 2
+        assert capsys.readouterr().err.startswith("error: custom symmetry lives on")
 
 
 class TestSpdeConverge:

@@ -364,29 +364,25 @@ class TestRunFlow:
         assert probe.table is None
         np.testing.assert_array_equal(built[0], ens0.positions)
 
-    def test_only_blockwise_observers_see_replica_blocks(self, monkeypatch):
-        """With a budget of two replicas, a blockwise observer is called per
-        block with its slice and table; an observer that does not declare
-        block support still gets the whole ensemble once per node. The
-        path is the same bytes either way."""
-        monkeypatch.setattr(flows, "_BLOCK_POINTS", 2 * 16)  # 16 points per replica
-        seen = {False: [], True: []}
+    def test_observers_see_replica_blocks(self, monkeypatch):
+        """With a budget of two replicas, a plain observer is called once per
+        block with its slice and that block's table; the path is the same
+        bytes as with the default budget, which holds all five replicas."""
+        seen = []
 
         class Probe(FlowObserver):
             def accumulate(self, node, t, ens, v, h, weight):
                 assert v.shape[0] == ens.replicas == self.node_table(ens).npts // 16
-                seen[self.blockwise].append((node, self.block))
+                seen.append((node, self.block))
 
-        class BlockProbe(Probe):
-            blockwise = True
-
-        def run(obs):
+        def run(obs=()):
             return run_flow(make_flow_ensemble(GRID, replicas=5, stride=8), tg_drift(), 0.02,
-                            2e-3, 3, BrownianDriver(seed=25, replicas=5), observers=(obs,))
+                            2e-3, 3, BrownianDriver(seed=25, replicas=5), observers=obs)
 
-        whole, blocks = run(Probe()), run(BlockProbe())
-        assert seen[False] == [(n, slice(0, 5)) for n in range(4)]
-        assert seen[True] == [(n, slice(s, min(s + 2, 5))) for n in range(4) for s in (0, 2, 4)]
+        whole = run()
+        monkeypatch.setattr(flows, "_BLOCK_POINTS", 2 * 16)  # 16 points per replica
+        blocks = run((Probe(),))
+        assert seen == [(n, slice(s, min(s + 2, 5))) for n in range(4) for s in (0, 2, 4)]
         assert whole.positions.tobytes() == blocks.positions.tobytes()
         assert whole.jacobians.tobytes() == blocks.jacobians.tobytes()
 

@@ -170,6 +170,23 @@ class TestNoetherResidual:
         gain = rep.charge[-1] - rep.charge[0]
         assert abs(gain - expected * 0.05) <= 1e-9
 
+    def test_pair_on_another_grid_rejected(self, grid, traj):
+        """A pair built on n = 16 against an n = 32 trajectory is an error,
+        not a charge read off the wrong modes (nor a broadcast failure)."""
+        def eta(g):
+            c = np.zeros((2, g.n, g.n), dtype=complex)
+            i = {int(k): j for j, k in enumerate(g.k)}
+            c[0, i[-2], i[1]] = c[0, i[2], i[-1]] = 0.5       # cos((-2, 1) . x) e1
+            c[1, i[-1], i[2]], c[1, i[1], i[-2]] = -0.5j, 0.5j  # sin((-1, 2) . x) e2
+            return c
+
+        assert np.max(np.abs(noether_residual(SymmetryPair(grid, eta(grid)), traj).charge)) > 1e-6
+        coarse = TorusGrid(16)
+        for pair in (SymmetryPair(coarse, eta(coarse)),
+                     SymmetryPair(coarse, g_coeffs=single_mode_scalar(coarse, 0))):
+            with pytest.raises(ValueError, match="n = 16 grid, the trajectory on n = 32"):
+                noether_residual(pair, traj)
+
     def test_mean_velocity_charge_is_conserved(self, grid):
         base = random_divergence_free(grid, seed=5, kmax=2, amplitude=0.3).coeffs.copy()
         base[0, 0, 0] += 0.125

@@ -790,7 +790,7 @@ class TestMeanDecay:
         def no_march(*args, **kwargs):
             raise AssertionError("marched with no modes to read")
 
-        monkeypatch.setattr(spde, "_solve_band", no_march)
+        monkeypatch.setattr(spde, "_march", no_march)
         cfg = SPDEConfig(grid=grid, nu=NU, dt=5e-3, t_final=5e-3, replicas=4,
                          scheme="ito")
         with pytest.raises(ValueError, match="at least one mode"):
@@ -956,8 +956,6 @@ class TestTildeAction:
                 return super().increments(*args, **kwargs)
 
         class Pairings(FlowObserver):
-            blockwise = True
-
             def __init__(self, driver):
                 self.driver = driver
                 self.mart = np.zeros(replicas)
