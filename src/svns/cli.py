@@ -510,6 +510,11 @@ def _build_parser() -> argparse.ArgumentParser:
     par = argparse.ArgumentParser(
         prog="svns",
         description="Run one verification experiment and write CSV/JSON reports.")
+
+    def refuse(message):  # main reports a usage error like a bad value
+        raise ConfigError(message)
+
+    par.error = refuse
     par.add_argument("--experiment",
                      help=f"which experiment to run: {', '.join(EXPERIMENTS)} "
                           "(or set it in the config file)")
@@ -549,8 +554,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         if args.describe:
             if not args.experiment:
                 raise ConfigError("--describe needs --experiment")
@@ -563,10 +568,7 @@ def main(argv=None) -> int:
         rows, header, series = run_experiment(cfg)
         wall = time.perf_counter() - start
         csv_path, json_path = _write_reports(cfg, rows, header, series, wall)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     failed = 0

@@ -245,14 +245,6 @@ def jacobian_step(jacobians: np.ndarray, grad_start: np.ndarray,
     return jacobians + (dt / 2.0) * (h1j + grad_end @ (jacobians + dt * h1j))
 
 
-def _drift_at(ens: FlowEnsemble, drift: DriftField, points):
-    """The start-stage drift of a step at time ens.t: v and, when the
-    ensemble tracks Jacobians, grad v (else None) at the given points."""
-    if ens.jacobians is not None:
-        return drift.velocity_and_gradient(ens.t, points)
-    return drift.velocity(ens.t, points), None
-
-
 def _step_core(ens: FlowEnsemble, drift: DriftField, nu: float, dt: float,
                dw: np.ndarray, v1: np.ndarray, h1: np.ndarray | None) -> FlowEnsemble:
     """Advance one Heun step with Brownian increments dw (replicas, 2),
@@ -273,16 +265,12 @@ def _step_core(ens: FlowEnsemble, drift: DriftField, nu: float, dt: float,
 
 def flow_step(ens: FlowEnsemble, drift: DriftField, nu: float, dt: float,
               driver: BrownianDriver) -> FlowEnsemble:
-    """One Heun step of positions (and Jacobians when tracked).
+    """One Heun step of positions (and Jacobians when tracked): a one-step run_flow.
 
     The Brownian increment for (replica, step) comes from the driver's
     counter, so stepping is deterministic in (seed, step_index).
     """
-    _check_step(nu, dt)
-    if driver.replicas != ens.replicas:
-        raise ValueError("driver and ensemble disagree on the replica count")
-    v1, h1 = _drift_at(ens, drift, ens.positions)
-    return _step_core(ens, drift, nu, dt, driver.increments(ens.step_index, dt), v1, h1)
+    return run_flow(ens, drift, nu, dt, 1, driver)
 
 
 class FlowObserver:
@@ -402,8 +390,11 @@ def run_flow(ens: FlowEnsemble, drift: DriftField, nu: float, dt: float,
             part = replace(ens, positions=ens.positions[b],
                            jacobians=None if ens.jacobians is None else ens.jacobians[b])
             table = PhaseTable(part.positions)
-            v1, h1 = _drift_at(part, drift,
-                               table if isinstance(drift, DriftField) else part.positions)
+            points = table if isinstance(drift, DriftField) else part.positions
+            if ens.jacobians is not None:
+                v1, h1 = drift.velocity_and_gradient(ens.t, points)
+            else:
+                v1, h1 = drift.velocity(ens.t, points), None
             dw = (driver.increments(ens.step_index, dt, s, part.replicas) if i < steps
                   else None)
             for obs in observers:
@@ -412,7 +403,7 @@ def run_flow(ens: FlowEnsemble, drift: DriftField, nu: float, dt: float,
                     obs.accumulate(i, ens.t, part, v1, h1, w)
                 finally:
                     obs.table, obs.block, obs.dw = None, slice(None), None
-            del table
+            del table, points
             if dw is not None:
                 stepped.append(_step_core(part, drift, nu, dt, dw, v1, h1))
         if stepped:

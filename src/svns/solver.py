@@ -146,12 +146,17 @@ def _check_cfl_limit(limit: float) -> None:
 # right-hand side and single step
 # ---------------------------------------------------------------------------
 
-def _check_band(grid: TorusGrid, c: np.ndarray, what: str) -> None:
-    """ValueError if full-layout c carries modes beyond the 2/3 band (above
-    1e-12 of its largest coefficient): the band march cannot hold them."""
+def _ns_input(grid: TorusGrid, c: np.ndarray, what: str) -> np.ndarray:
+    """The band layout of full-layout velocity or forcing coefficients c,
+    made conjugate-symmetric. ValueError unless c is divergence-free (to
+    1e-10 of its largest coefficient) and carries no modes beyond the 2/3
+    band (to 1e-12): the band march cannot hold them."""
     scale = max(1.0, float(np.max(np.abs(c))))
+    if np.max(np.abs(grid.k1 * c[0] + grid.k2 * c[1])) > 1e-10 * scale:
+        raise ValueError(f"{what} is not divergence-free")
     if np.max(np.abs(c[..., ~grid.dealias_mask]), initial=0.0) > 1e-12 * scale:
         raise ValueError(f"{what} carries modes beyond the dealiasing band")
+    return _to_band(grid, enforce_conjugate_symmetry(c))
 
 
 def _projected_band(grid: TorusGrid, adv: np.ndarray, forcing: np.ndarray | None) -> np.ndarray:
@@ -201,33 +206,25 @@ def _rk4_band(grid: TorusGrid, cb: np.ndarray, k1: np.ndarray, dt: float,
 def ns_rhs(v: SpectralVectorField, nu: float) -> tuple[SpectralVectorField, SpectralField]:
     """Projected tendency nu Delta v - P[(v . grad) v] and the diagnostic pressure.
 
-    v must be dealiased: ValueError if it carries modes beyond the 2/3 band.
+    v takes ns_solve's checks: ValueError unless divergence-free and on the 2/3 band.
     """
     g = v.grid
-    _check_band(g, v.coeffs, "velocity")
-    _, rhs, p, _ = _node_band(g, _to_band(g, v.coeffs), nu, None)
+    _, rhs, p, _ = _node_band(g, _ns_input(g, v.coeffs, "velocity"), nu, None)
     return SpectralVectorField(g, _to_full(g, rhs)), SpectralField(g, _to_full(g, p))
 
 
 def ns_step(v: SpectralVectorField, nu: float, dt: float,
             forcing: np.ndarray | None = None) -> SpectralVectorField:
-    """One integrating-factor RK4 step.
+    """One integrating-factor RK4 step: node 1 of a one-step ns_solve.
 
     The viscous factor exp(-nu |k|^2 dt) is applied exactly, so a step with
     zero nonlinearity reproduces the heat semigroup to roundoff. A constant
-    forcing enters every stage like the nonlinearity. v and the forcing must
-    be dealiased: ValueError if either carries modes beyond the 2/3 band.
+    forcing enters every stage like the nonlinearity. ns_solve's checks
+    apply: ValueError unless v and the forcing are divergence-free and on
+    the 2/3 band, CFLError past NSConfig's default CFL budget.
     """
-    g = v.grid
-    _check_band(g, v.coeffs, "velocity")
-    fb = None
-    if forcing is not None:
-        _check_band(g, forcing, "forcing")
-        fb = _to_band(g, forcing)
-    cb = _to_band(g, v.coeffs)
-    k1 = _node_band(g, cb, nu, fb)[0]
-    out = _rk4_band(g, cb, k1, dt, _viscous_factors(g, nu, dt), fb)
-    return SpectralVectorField(g, _to_full(g, out))
+    f = None if forcing is None else SpectralVectorField(v.grid, forcing)
+    return ns_solve(v, NSConfig(nu=nu, dt=dt, t_final=dt), f).velocity(1)
 
 
 # ---------------------------------------------------------------------------
@@ -302,19 +299,8 @@ def ns_solve(v0: SpectralVectorField, config: NSConfig,
     band.
     """
     g = v0.grid
-    scale = max(1.0, float(np.max(np.abs(v0.coeffs))))
-    div0 = np.max(np.abs(g.k1 * v0.coeffs[0] + g.k2 * v0.coeffs[1]))
-    if div0 > 1e-10 * scale:
-        raise ValueError("initial velocity is not divergence-free")
-    _check_band(g, v0.coeffs, "initial velocity")
-    fb = None
-    if forcing is not None:
-        _check_band(g, forcing.coeffs, "forcing")
-        fc = enforce_conjugate_symmetry(forcing.coeffs)
-        fscale = max(1.0, float(np.max(np.abs(fc))))
-        if np.max(np.abs(g.k1 * fc[0] + g.k2 * fc[1])) > 1e-10 * fscale:
-            raise ValueError("forcing is not divergence-free")
-        fb = _to_band(g, fc)
+    cb = _ns_input(g, v0.coeffs, "initial velocity")
+    fb = None if forcing is None else _ns_input(g, forcing.coeffs, "forcing")
 
     m = config.steps
     times = np.arange(m + 1) * config.dt
@@ -325,7 +311,6 @@ def ns_solve(v0: SpectralVectorField, config: NSConfig,
     # the state lives on the band layout; nodes collect in band buffers of
     # _NODE_CHUNK nodes that are scattered to the full-layout arrays a block
     # at a time, so no band copy of the trajectory exists
-    cb = _to_band(g, enforce_conjugate_symmetry(v0.coeffs * g.dealias_mask))
     blocks = [np.empty((min(_NODE_CHUNK, m + 1),) + a.shape[1:-2] + cb.shape[-2:],
                        dtype=np.complex128) for a in (vel, prs, rhs)]
     factors = _viscous_factors(g, config.nu, config.dt)

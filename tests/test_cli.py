@@ -234,6 +234,10 @@ class TestConfig:
         "flag-unknown-symmetry": ("--experiment", "noether", "--symmetry", "foo"),
         "flag-unknown-scheme": ("--experiment", "spde-converge", "--scheme", "bogus"),
         "flag-unknown-experiment": ("--experiment", "bogus"),
+        # argparse's own usage errors too
+        "flag-negative-dt": ("--experiment", "ns-verify", "--dt", "-1e-3"),
+        "flag-unknown": ("--experiment", "ns-verify", "--bogus"),
+        "flag-without-value": ("--experiment", "ns-verify", "--dt"),
     }
 
     @pytest.mark.parametrize("case", sorted(BAD_INPUTS))

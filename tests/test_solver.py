@@ -101,6 +101,12 @@ class TestNSStep:
         v1 = S.ns_step(v, nu, dt)
         assert np.max(np.abs(v1.coeffs - v.coeffs * math.exp(-2 * nu * dt))) < 1e-12
 
+    def test_step_beyond_the_cfl_budget_raises(self):
+        """A step is a one-step solve, so it takes the solve's CFL guard:
+        max|v| = 1 on 32^2 and dt = 0.16 give CFL 0.81 > 0.5."""
+        with pytest.raises(S.CFLError, match="CFL number 0.815 exceeds limit 0.5"):
+            S.ns_step(S.taylor_green(F.TorusGrid(32)), 0.1, 0.16)
+
     def test_observed_order_four(self):
         """Richardson on a random divergence-free field shows order 4 +- 0.3."""
         grid = F.TorusGrid(32)
@@ -257,14 +263,23 @@ class TestBandMarch:
 
     @pytest.mark.parametrize("call", ["ns_step", "ns_rhs"])
     def test_modes_beyond_the_band_rejected(self, call):
-        """The band cannot hold them, so the step refuses instead of dropping them."""
+        """The band cannot hold them, so the step refuses instead of dropping
+        them; like ns_solve, it refuses a divergent velocity or forcing too."""
         grid = F.TorusGrid(32)
-        c = S.taylor_green(grid).coeffs.copy()
+        tg = S.taylor_green(grid)
+        c = tg.coeffs.copy()
         k1 = grid.n // 2 - 1
         c[1, k1, 0] = c[1, -k1, 0] = 0.25  # v2 = 0.5 cos(15 x1), divergence-free
-        v = F.SpectralVectorField(grid, c)
-        with pytest.raises(ValueError, match="carries modes beyond the dealiasing band"):
-            S.ns_step(v, 0.1, 1e-3) if call == "ns_step" else S.ns_rhs(v, 0.1)
+        divergent = np.zeros_like(c)
+        divergent[0, 1, 0] = divergent[0, -1, 0] = 0.25  # 0.5 cos(x1) e1
+        cases = [(c, None, "velocity carries modes beyond the dealiasing band"),
+                 (tg.coeffs + divergent, None, "velocity is not divergence-free")]
+        if call == "ns_step":
+            cases.append((tg.coeffs, divergent, "forcing is not divergence-free"))
+        for velocity, forcing, match in cases:
+            v = F.SpectralVectorField(grid, velocity)
+            with pytest.raises(ValueError, match=match):
+                S.ns_step(v, 0.1, 1e-3, forcing) if call == "ns_step" else S.ns_rhs(v, 0.1)
 
     def test_forcing_beyond_the_band_rejected_by_ns_step(self):
         grid = F.TorusGrid(32)
@@ -282,13 +297,24 @@ class TestBandMarch:
                        forcing=F.SpectralVectorField(grid, f))
 
     def test_step_is_a_one_step_solve(self):
+        """Byte for byte, on a symmetric velocity, on one with a
+        conjugate-antisymmetric part (divergence-free and on the band, so
+        the solve takes it and symmetrizes it), and with a forcing."""
         grid = F.TorusGrid(32)
         v0 = S.random_divergence_free(grid, seed=4, kmax=8, amplitude=0.8)
-        traj = S.ns_solve(v0, S.NSConfig(nu=0.05, dt=1e-3, t_final=1e-3))
-        assert np.array_equal(S.ns_step(v0, 0.05, 1e-3).coeffs, traj.velocity_coeffs[1])
-        rhs, p = S.ns_rhs(v0, 0.05)
-        assert np.array_equal(rhs.coeffs, traj.rhs_coeffs[0])
-        assert np.array_equal(p.coeffs, traj.pressure_coeffs[0])
+        odd = 0.1j * S.random_divergence_free(grid, seed=5, kmax=8).coeffs
+        assert F.conjugate_defect(v0.coeffs + odd) > 1e-3
+        f = S.random_divergence_free(grid, seed=6, kmax=4, amplitude=0.5)
+        cfg = S.NSConfig(nu=0.05, dt=1e-3, t_final=1e-3)
+        for v, forcing in ((v0, None), (F.SpectralVectorField(grid, v0.coeffs + odd), None),
+                           (v0, f)):
+            traj = S.ns_solve(v, cfg, forcing=forcing)
+            step = S.ns_step(v, 0.05, 1e-3, None if forcing is None else forcing.coeffs)
+            assert step.coeffs.tobytes() == traj.velocity_coeffs[1].tobytes()
+            if forcing is None:
+                rhs, p = S.ns_rhs(v, 0.05)
+                assert rhs.coeffs.tobytes() == traj.rhs_coeffs[0].tobytes()
+                assert p.coeffs.tobytes() == traj.pressure_coeffs[0].tobytes()
 
     @pytest.mark.parametrize("n", [32, 128])
     def test_trajectory_does_not_depend_on_the_thread_count(self, n):
