@@ -22,12 +22,15 @@ folded once onto the half plane k2 >= 0 (d_k = c_k + conj(c_{-k})), which
 halves the multiply-adds without assuming conjugate symmetry; the phases of
 one point set live in a PhaseTable that a flow pass builds once per node and
 shares between the drift and every observer, and the contraction runs in
-fixed blocks of points.
+fixed blocks of points. The module also holds the package's one worker
+pool, which runs the SPDE march's replica blocks and the trajectory
+diagnostics' node blocks.
 """
 
 from __future__ import annotations
 
 import functools
+import os
 import re
 from dataclasses import dataclass
 
@@ -64,6 +67,42 @@ __all__ = [
 ]
 
 TWO_PI = 2.0 * np.pi
+
+# ---------------------------------------------------------------------------
+# the worker pool: one thread per usable CPU, shared by the SPDE march and
+# the trajectory diagnostics
+# ---------------------------------------------------------------------------
+
+_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+_pools = {}  # worker count -> the one executor, built on first use
+if hasattr(os, "register_at_fork"):  # a forked child has none of its threads
+    os.register_at_fork(after_in_child=_pools.clear)
+
+
+def _run(tasks) -> None:
+    """Run zero-argument tasks, inline on one worker or for one task, else on
+    the pool. The first failing task in list order raises once the later ones
+    are cancelled or finished, so no task writes after the raise. A task must
+    not call _run: nested waits on a fixed pool can deadlock."""
+    if _WORKERS == 1 or len(tasks) == 1:
+        for task in tasks:
+            task()
+        return
+    from concurrent import futures  # here, not at import: it costs ~8 ms
+    pool = _pools.get(_WORKERS)
+    if pool is None:
+        _pools.clear()
+        pool = _pools[_WORKERS] = futures.ThreadPoolExecutor(_WORKERS, "svns")
+    submitted = [pool.submit(task) for task in tasks]
+    for i, future in enumerate(submitted):
+        try:
+            future.result()
+        except BaseException:
+            for later in submitted[i + 1:]:
+                later.cancel()
+            futures.wait(submitted)
+            raise
 
 
 class TorusGrid:
@@ -817,7 +856,9 @@ def evaluate_at(field, points: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# checkpoint text codec: `# key = value` header, then rows; %.17g is bit-exact
+# checkpoint text codec: `# key = value` header, then rows; %.17g is bit-exact.
+# Rows are formatted a block at a time; a snapshot row of two +0.0 is its
+# cached index text plus `0 0`, which is what %.17g makes of +0.0
 # ---------------------------------------------------------------------------
 
 # rows per `%` pass of the writer: each pass holds its rows as a tuple of
@@ -827,16 +868,22 @@ _WRITE_ROWS = 1024
 
 def _write_checkpoint(path, title: str, header: dict, blocks) -> None:
     """Write `# title`, `# key = value` per header entry, then per (caption,
-    row format, table) block `# caption` and its rows, formatted by one `%`
-    per _WRITE_ROWS rows."""
+    texts) block `# caption` and its row texts, an iterable of strings taken
+    one at a time."""
     with open(path, "w") as fh:
         fh.write("".join([f"# {title}\n"] + [f"# {key} = {val}\n"
                                               for key, val in header.items()]))
-        for caption, fmt, table in blocks:
+        for caption, texts in blocks:
             fh.write(f"# {caption}\n")
-            for s in range(0, len(table), _WRITE_ROWS):
-                rows = table[s:s + _WRITE_ROWS]
-                fh.write((fmt + "\n") * len(rows) % tuple(rows.ravel().tolist()))
+            fh.writelines(texts)
+
+
+def _row_texts(fmt: str, table: np.ndarray):
+    """The rows of table, one line of the row format each, made by one `%`
+    per _WRITE_ROWS rows."""
+    for s in range(0, len(table), _WRITE_ROWS):
+        rows = table[s:s + _WRITE_ROWS]
+        yield (fmt + "\n") * len(rows) % tuple(rows.ravel().tolist())
 
 
 def _read_checkpoint(path, keys, *tags):
@@ -879,23 +926,57 @@ def _scatter_rows(path, table: np.ndarray, extents, width: int) -> np.ndarray:
     return out.reshape(dims + (width,))
 
 
+@functools.lru_cache(maxsize=8)
+def _snapshot_rows(n: int, ncomp: int, start: int) -> tuple[np.ndarray, np.ndarray]:
+    """The texts of snapshot rows start..start + _WRITE_ROWS of an (ncomp, n, n)
+    stack, as object arrays: each row's `k1 k2 component 0 0` line, the row
+    of two +0.0, and its format with two %.17g slots. The cache keeps the 8
+    blocks used last (~1.3 MB), every block of a trajectory's layouts at
+    32^2, so their index text is made once."""
+    k = np.fft.fftfreq(n, d=1.0 / n).astype(np.int64).tolist()
+    rows = range(start, min(start + _WRITE_ROWS, ncomp * n * n))
+    index = [f"{k[r // n % n]} {k[r % n]} {r // (n * n)} " for r in rows]
+    return (np.array([t + "0 0\n" for t in index], dtype=object),
+            np.array([t + "%.17g %.17g\n" for t in index], dtype=object))
+
+
+def _snapshot_texts(n: int, stack: np.ndarray):
+    """Row texts of a snapshot's (components, n, n) coefficients, one `%`
+    per _WRITE_ROWS rows over the values of the rows that are not two +0.0;
+    those rows are their cached text. The bytes are those of formatting
+    every row with `%d %d %d %.17g %.17g`."""
+    pairs = np.ascontiguousarray(stack).view(np.float64).reshape(-1, 2)
+    zero = ~pairs.view(np.uint64).any(axis=1)
+    for s in range(0, len(pairs), _WRITE_ROWS):
+        zero_rows, value_rows = _snapshot_rows(n, stack.shape[0], s)
+        z = zero[s:s + _WRITE_ROWS]
+        fmt = "".join(np.where(z, zero_rows, value_rows).tolist())
+        yield fmt % tuple(pairs[s:s + _WRITE_ROWS][~z].ravel().tolist())
+
+
 def save_field_snapshot(field, path) -> None:
     """Write coefficients as text rows (k1, k2, component, Re, Im) under a
-    header with the grid size and component count."""
+    header with the grid size and component count, rows of two +0.0 from
+    cached text (see _snapshot_texts)."""
     if not isinstance(field, (SpectralField, SpectralVectorField)):
         raise TypeError(f"cannot snapshot object of type {type(field).__name__}")
-    n, k = field.grid.n, field.grid.k
+    n = field.grid.n
     stack = field.coeffs.reshape(-1, n, n)
-    c, i, j = np.indices(stack.shape).reshape(3, -1)
-    table = np.column_stack([k[i], k[j], c, stack.real.ravel(), stack.imag.ravel()])
     _write_checkpoint(path, "spectral field snapshot", {"n": n, "components": stack.shape[0]},
-                      [("k1 k2 component re im", "%d %d %d %.17g %.17g", table)])
+                      [("k1 k2 component re im", _snapshot_texts(n, stack))])
 
 
-def load_field_snapshot(path):
-    """Read a snapshot written by save_field_snapshot."""
+def load_field_snapshot(path, grid: TorusGrid | None = None):
+    """Read a snapshot written by save_field_snapshot. A reader of many
+    snapshots of one grid passes it as `grid`, so that no TorusGrid is built
+    per file; the header's n must then be the grid's."""
     header, table = _read_checkpoint(path, ("n", "components"))
-    grid, ncomp = TorusGrid(int(header["n"])), int(header["components"])
+    n, ncomp = int(header["n"]), int(header["components"])
+    if grid is None:
+        grid = TorusGrid(n)
+    elif grid.n != n:
+        raise ValueError(f"checkpoint {path} holds a field on an n = {n} grid, "
+                         f"not on the expected n = {grid.n}")
     vals = _scatter_rows(path, table, [(-grid.n // 2, grid.n // 2)] * 2 + [(0, ncomp)], 2)
     # view each (re, im) pair as one complex: re + 1j * im would turn -0.0 into +0.0
     stack = np.ascontiguousarray(vals.view(np.complex128)[..., 0].transpose(2, 0, 1))

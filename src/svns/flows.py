@@ -22,7 +22,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .fields import (TWO_PI, PhaseTable, PointEvaluator, SpectralField, TorusGrid,
-                     _read_checkpoint, _scatter_rows, _write_checkpoint, mean_value)
+                     _read_checkpoint, _row_texts, _scatter_rows, _write_checkpoint,
+                     mean_value)
 from .solver import DriftField, _check_step, _horizon_steps
 
 __all__ = [
@@ -367,7 +368,8 @@ def run_flow(ens: FlowEnsemble, drift: DriftField, nu: float, dt: float,
 
     The drift and its gradient are evaluated once per node and shared between
     the observers and the step, so all observers see the same path: common
-    random numbers across any functionals accumulated in one pass.
+    random numbers across any functionals accumulated in one pass. With no
+    observer the last node has no reader, and its drift is not evaluated.
 
     Replicas never interact, so each node runs in blocks of whole replicas
     of at most _BLOCK_POINTS points, and every observer is called once per
@@ -383,6 +385,8 @@ def run_flow(ens: FlowEnsemble, drift: DriftField, nu: float, dt: float,
         raise ValueError("driver and ensemble disagree on the replica count")
     size = max(1, _BLOCK_POINTS // max(1, ens.npoints))
     for i in range(steps + 1):
+        if i == steps and not observers:  # nothing reads the last node's drift
+            return ens
         w = 0.0 if weights is None else float(weights[i])
         stepped = []
         for s in range(0, ens.replicas, size):
@@ -595,9 +599,9 @@ def save_ensemble(ens: FlowEnsemble, path, seed: int = 0) -> None:
     vals = vals.swapaxes(0, 1).reshape(-1, vals.shape[2])
     p, r = np.indices((ens.npoints, ens.replicas)).reshape(2, -1)
     _write_checkpoint(path, "flow ensemble checkpoint", header, [
-        ("label rows: index x1 x2", "L %d %.17g %.17g", labels),
+        ("label rows: index x1 x2", _row_texts("L %d %.17g %.17g", labels)),
         ("data rows: index replica g1 g2 J00 J01 J10 J11",
-         "%d %d" + " %.17g" * vals.shape[1], np.column_stack([p, r, vals]))])
+         _row_texts("%d %d" + " %.17g" * vals.shape[1], np.column_stack([p, r, vals])))])
 
 
 def load_ensemble(path) -> tuple[FlowEnsemble, int]:

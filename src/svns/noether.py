@@ -26,6 +26,7 @@ flow solver, so operator identities hold to roundoff, not just to truncation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -38,6 +39,7 @@ from .fields import (
     TorusGrid,
     _advection_half,
     _derivative_stack,
+    _run,
     _to_full,
     _to_half,
     _values_half,
@@ -232,6 +234,9 @@ def noether_residual(pair: SymmetryPair, traj: NSTrajectory) -> NoetherReport:
     Everything is evaluated spectrally from the stored velocity and tendency;
     no sampling is involved. For a true symmetry of the dynamics r vanishes
     identically; the function reports r for any pair, symmetry or not.
+    Blocks of _NODE_CHUNK nodes run as tasks on the worker pool, each
+    writing only its own nodes, so the report has the same bits for any
+    worker count.
     """
     g = traj.grid
     if pair.grid != g:
@@ -245,8 +250,8 @@ def noether_residual(pair: SymmetryPair, traj: NSTrajectory) -> NoetherReport:
     damp = np.array([env.derivative(float(t)) for t in traj.times])[:, None, None]
     eta = None if pair.eta_coeffs is None else _values_half(g, _to_half(g, pair.eta_coeffs))
     psi = None if pair.g_coeffs is None else _to_half(g, pair.g_coeffs)
-    for lo in range(0, nnodes, _NODE_CHUNK):
-        nodes = slice(lo, lo + _NODE_CHUNK)
+
+    def block(nodes):
         a = amp[nodes]
         da = damp[nodes]
         w = _values_half(g, _to_half(g, traj.velocity_coeffs[nodes]))
@@ -264,6 +269,8 @@ def noether_residual(pair: SymmetryPair, traj: NSTrajectory) -> NoetherReport:
         lf = _material_half(g, fh, w, traj.nu, fth)
         residual[nodes] = TWO_PI**2 * lf[:, 0, 0].real
         charge[nodes] = TWO_PI**2 * fh[:, 0, 0].real
+
+    _run([partial(block, slice(lo, lo + _NODE_CHUNK)) for lo in range(0, nnodes, _NODE_CHUNK)])
     return NoetherReport(times=traj.times.copy(), residual=residual, charge=charge)
 
 

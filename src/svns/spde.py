@@ -31,10 +31,11 @@ curl of (v . grad) v takes eight), and rebuild the velocity from omega by
 Biot-Savart, divergence-free by construction and with its mean mode
 carried unchanged; the velocity form's projections drop out.
 Every ensemble is marched in replica blocks of a fixed byte budget through
-one march, as tasks on a pool of one thread per usable CPU. Noise is drawn
-on the calling thread from the counter-based driver and each block writes
-its own slice, so every result is a pure function of (seed, replica count,
-parameters), whatever the block or chunk size or the worker count.
+one march, as tasks on the package's pool of one thread per usable CPU
+(svns.fields). Noise is drawn on the calling thread from the counter-based
+driver and each block writes its own slice, so every result is a pure
+function of (seed, replica count, parameters), whatever the block or chunk
+size or the worker count.
 
 The pathwise action functional of a flow run whose martingale part is the
 scaled Brownian motion sqrt(2 nu) W is also evaluated here. Its pass is the
@@ -47,7 +48,6 @@ per-replica kinetic-plus-constraint integrand.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, replace
 from functools import partial
 
@@ -62,6 +62,7 @@ from .fields import (
     _biot_savart,
     _leray,
     _pressure,
+    _run,
     _to_band,
     _to_full,
     _to_half,
@@ -98,12 +99,6 @@ _SCHEMES = ("ito", "stratonovich-heun")
 # to amortise the per-call overhead; each worker's malloc arena keeps one
 # block's temporaries, and 1 MiB blocks on 2 workers raised peak RSS 19%
 _BLOCK_BYTES = 1 << 19
-# worker threads of the march: the CPUs this process may run on
-_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-            else os.cpu_count() or 1)
-_pools = {}  # worker count -> the one executor, built on first use
-if hasattr(os, "register_at_fork"):  # a forked child has none of its threads
-    os.register_at_fork(after_in_child=_pools.clear)
 
 
 @dataclass(frozen=True)
@@ -239,31 +234,6 @@ def _block_replicas(grid: TorusGrid) -> int:
     """Replicas per block of the march: a block's velocity grid values
     (2 n^2 float64 per replica) fill _BLOCK_BYTES, 32 replicas at 32^2."""
     return max(1, _BLOCK_BYTES // (16 * grid.n * grid.n))
-
-
-def _run(tasks) -> None:
-    """Run zero-argument tasks, inline on one worker or for one task, else on
-    the pool. The first failing task in list order raises once the later ones
-    are cancelled or finished, so no task writes after the raise. A task must
-    not call _run: nested waits on a fixed pool can deadlock."""
-    if _WORKERS == 1 or len(tasks) == 1:
-        for task in tasks:
-            task()
-        return
-    from concurrent import futures  # here, not at import: it costs ~8 ms
-    pool = _pools.get(_WORKERS)
-    if pool is None:
-        _pools.clear()
-        pool = _pools[_WORKERS] = futures.ThreadPoolExecutor(_WORKERS, "svns-march")
-    submitted = [pool.submit(task) for task in tasks]
-    for i, future in enumerate(submitted):
-        try:
-            future.result()
-        except BaseException:
-            for later in submitted[i + 1:]:
-                later.cancel()
-            futures.wait(submitted)
-            raise
 
 
 def _blocks(grid: TorusGrid, config: SPDEConfig, c: np.ndarray,

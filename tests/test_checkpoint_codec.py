@@ -22,7 +22,7 @@ from svns.fields import (
     save_field_snapshot,
 )
 from svns.flows import FlowEnsemble, load_ensemble, save_ensemble
-from svns.solver import NSTrajectory, load_trajectory, save_trajectory
+from svns.solver import NSTrajectory, load_trajectory, random_divergence_free, save_trajectory
 
 EDGES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308, 0.1, 1 / 3]
 FINITE = st.one_of(st.sampled_from(EDGES), st.floats(allow_nan=False, allow_infinity=False))
@@ -115,6 +115,28 @@ def test_snapshot_written_in_row_blocks(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < stack.size * 5 * 32
+
+
+def test_snapshot_of_a_band_limited_field(tmp_path):
+    """Most rows of a band-limited 32^2 vector field are two +0.0, which the
+    writer takes from cached text; -0.0, NaN, +-inf and the smallest
+    subnormal placed in otherwise-zero rows, across its row blocks, are
+    written as values. The bytes are the reference's and the reload is
+    bit-exact."""
+    grid = TorusGrid(32)
+    stack = random_divergence_free(grid, seed=9, kmax=10).coeffs.copy()
+    pairs = stack.view(np.float64).reshape(-1, 2)
+    zero = np.flatnonzero(~pairs.view(np.uint64).any(axis=1))
+    assert len(zero) > len(pairs) // 2
+    edges = [(-0.0, 0.0), (0.0, -0.0), (np.nan, 0.0), (0.0, np.nan), (np.inf, 0.0),
+             (0.0, -np.inf), (5e-324, 0.0), (0.0, -5e-324)]
+    rows = zero[np.linspace(0, len(zero) - 1, len(edges)).astype(int)]
+    pairs[rows] = edges
+    field = SpectralVectorField(grid, stack)
+    save_field_snapshot(field, tmp_path / "new.txt")
+    reference_snapshot(grid, stack, tmp_path / "ref.txt")
+    assert (tmp_path / "new.txt").read_bytes() == (tmp_path / "ref.txt").read_bytes()
+    assert same_bits(load_field_snapshot(tmp_path / "new.txt").coeffs, stack)
 
 
 @settings(max_examples=25, deadline=None)

@@ -316,6 +316,40 @@ class TestRunFlow:
         np.testing.assert_array_equal(one.positions, two.positions)
         np.testing.assert_array_equal(one.jacobians, two.jacobians)
 
+    @pytest.mark.parametrize("jacobians", [True, False])
+    def test_observer_free_run_skips_the_last_node(self, jacobians):
+        """Nothing reads the drift at the last node of a run without
+        observers: it makes two drift evaluations per step, the start and
+        predictor stages, and returns the bytes of an observed run, which
+        makes one more."""
+        class Counting(SampledDrift):
+            calls = 0
+
+            def velocity(self, t, points):
+                self.calls += 1
+                return super().velocity(t, points)
+
+            def velocity_and_gradient(self, t, points):
+                self.calls += 1
+                return super().velocity_and_gradient(t, points)
+
+        class Idle(FlowObserver):
+            def accumulate(self, node, t, ens, v, h, weight):
+                pass
+
+        nu, dt, steps = 0.02, 2e-3, 5
+        traj = ns_solve(taylor_green(GRID), NSConfig(nu=nu, dt=dt, t_final=0.02))
+        ens = make_flow_ensemble(GRID, replicas=3, stride=8, jacobians=jacobians)
+        free, observed = Counting(traj), Counting(traj)
+        out = run_flow(ens, free, nu, dt, steps, BrownianDriver(seed=27, replicas=3))
+        ref = run_flow(ens, observed, nu, dt, steps, BrownianDriver(seed=27, replicas=3),
+                       observers=(Idle(),))
+        assert (free.calls, observed.calls) == (2 * steps, 2 * steps + 1)
+        assert out.positions.tobytes() == ref.positions.tobytes()
+        if jacobians:
+            assert out.jacobians.tobytes() == ref.jacobians.tobytes()
+        assert (out.t, out.step_index) == (ref.t, ref.step_index)
+
     def test_observer_sees_every_node_with_weights(self):
         records = []
 

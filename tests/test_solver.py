@@ -1,10 +1,6 @@
 """Tests for the spectral Navier-Stokes solver and drift-path sampling."""
 
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -54,9 +50,16 @@ class TestNonFinite:
         with pytest.raises(S.CFLError, match="CFL"):
             S.ns_solve(F.SpectralVectorField(grid, c), S.NSConfig(nu=0.1, dt=1e-2, t_final=0.02))
 
-    def test_residual_keeps_a_nan(self):
+    def test_residual_keeps_a_nan(self, monkeypatch):
+        """Also from a late block of nodes on two workers, whose maximum
+        comes after those of finite blocks."""
         traj = tg_trajectory(nu=0.1, dt=1e-2, t_final=0.05, n=16)
         traj.velocity_coeffs[3, 0, 1, 1] = np.nan
+        assert np.isnan(S.ns_residual(traj))
+        monkeypatch.setattr(F, "_WORKERS", 2)
+        traj = tg_trajectory(nu=0.1, dt=1e-2, t_final=1.0, n=16)
+        assert len(traj.times) > 2 * S._NODE_CHUNK
+        traj.velocity_coeffs[-2, 0, 1, 1] = np.nan
         assert np.isnan(S.ns_residual(traj))
 
 
@@ -317,11 +320,10 @@ class TestBandMarch:
                 assert p.coeffs.tobytes() == traj.pressure_coeffs[0].tobytes()
 
     @pytest.mark.parametrize("n", [32, 128])
-    def test_trajectory_does_not_depend_on_the_thread_count(self, n):
+    def test_trajectory_does_not_depend_on_the_thread_count(self, n, fresh_python):
         """The march runs through BLAS: pinned to 1 and to 4 threads in fresh
         processes, a solve gives the same bytes. At n = 128 a matmul march
         would be split between threads and differ in the last bits."""
-        root = Path(__file__).resolve().parents[1]
         script = ("import hashlib\n"
                   "from svns import fields as F, solver as S\n"
                   f"g = F.TorusGrid({n})\n"
@@ -331,17 +333,39 @@ class TestBandMarch:
                   "for a in (t.velocity_coeffs, t.pressure_coeffs, t.rhs_coeffs):\n"
                   "    h.update(a.tobytes())\n"
                   "print(h.hexdigest())\n")
+        digests = [fresh_python(script, OMP_NUM_THREADS=threads, OPENBLAS_NUM_THREADS=threads,
+                                MKL_NUM_THREADS=threads).strip() for threads in ("1", "4")]
+        assert len(digests[0]) == 128 and digests[0] == digests[1]
+
+
+class TestDiagnostics:
+    def test_diagnostics_do_not_depend_on_the_worker_or_thread_count(self, fresh_python):
+        """ns_residual and noether_residual run blocks of nodes on the worker
+        pool: pinned to 1 and to 4 BLAS threads in fresh processes, each with
+        1, 2 and 4 workers, they and energy_balance_defects give the same
+        bytes on a 1001-node Taylor-Green solve. A mean flow makes the
+        translation charge nonzero."""
+        script = ("import hashlib\n"
+                  "import numpy as np\n"
+                  "from svns import fields as F, noether as N, solver as S\n"
+                  "g = F.TorusGrid(32)\n"
+                  "c = S.taylor_green(g, 0.0, 0.1, 0.8).coeffs.copy()\n"
+                  "c[:, 0, 0] = [0.3, -0.2]\n"
+                  "t = S.ns_solve(F.SpectralVectorField(g, c),\n"
+                  "               S.NSConfig(nu=0.1, dt=1e-3, t_final=1.0))\n"
+                  "pair = N.translation_pair(g, 0)\n"
+                  "for workers in (1, 2, 4):\n"
+                  "    F._WORKERS = workers\n"
+                  "    report = N.noether_residual(pair, t)\n"
+                  "    h = hashlib.blake2b(np.float64(S.ns_residual(t)).tobytes())\n"
+                  "    for a in (S.energy_balance_defects(t), report.residual, report.charge):\n"
+                  "        h.update(a.tobytes())\n"
+                  "    print(h.hexdigest())\n")
         digests = []
         for threads in ("1", "4"):
-            env = dict(os.environ)
-            env.update(OMP_NUM_THREADS=threads, OPENBLAS_NUM_THREADS=threads,
-                       MKL_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(
-                           filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])))
-            proc = subprocess.run([sys.executable, "-c", script], env=env, cwd=str(root),
-                                  capture_output=True, text=True)
-            assert proc.returncode == 0, proc.stderr
-            digests.append(proc.stdout.strip())
-        assert len(digests[0]) == 128 and digests[0] == digests[1]
+            digests += fresh_python(script, OMP_NUM_THREADS=threads, OPENBLAS_NUM_THREADS=threads,
+                                    MKL_NUM_THREADS=threads).split()
+        assert len(digests) == 6 and len(digests[0]) == 128 and len(set(digests)) == 1
 
 
 class TestSampledDrift:

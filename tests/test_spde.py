@@ -49,17 +49,15 @@ Oracles, all derivable by hand:
 import hashlib
 import multiprocessing
 import os
-import subprocess
 import sys
 import time
 import tracemalloc
 from functools import partial
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-from svns import flows, spde
+from svns import fields, flows, spde
 from svns.action import (
     StaticPressure,
     TrajectoryPressure,
@@ -354,18 +352,6 @@ def velocity_form_step(grid, coeffs, dw, nu, dt, stratonovich):
     return out
 
 
-def fresh_python(script: str, **env) -> str:
-    """stdout of script run in a fresh interpreter on this checkout's svns,
-    with env added to the environment."""
-    root = Path(__file__).resolve().parents[1]
-    env = {**os.environ, **env, "PYTHONPATH": os.pathsep.join(
-        filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-c", script], env=env, cwd=str(root),
-                          capture_output=True, text=True, timeout=600)
-    assert proc.returncode == 0, proc.stderr
-    return proc.stdout
-
-
 class Replay:
     """Stands in for a BrownianDriver: returns given increments
     (steps, replicas, 2) step by step."""
@@ -437,7 +423,7 @@ class TestVorticityMarch:
         assert np.array_equal(spde_solve(tg, cfg, drv).coeffs, by_solve.coeffs)
 
     @pytest.mark.parametrize("n", [32, 64])
-    def test_march_does_not_depend_on_the_thread_count(self, n):
+    def test_march_does_not_depend_on_the_thread_count(self, n, fresh_python):
         """The march runs through BLAS on a pool of worker threads: pinned to
         1 and to 4 BLAS threads in fresh processes, each with 1, 2 and 4
         workers, a solve, a mode-means ensemble (Heun and Ito) and a strong
@@ -450,7 +436,7 @@ class TestVorticityMarch:
                   "v0 = S.random_divergence_free(g, seed=7, kmax=6, amplitude=0.5)\n"
                   "tg = S.taylor_green(g, 0.0, 0.0, 0.7)\n"
                   "for workers in (1, 2, 4):\n"
-                  "    P._WORKERS = workers\n"
+                  "    F._WORKERS = workers\n"
                   "    h = hashlib.blake2b()\n"
                   "    for scheme in ('stratonovich-heun', 'ito'):\n"
                   "        cfg = P.SPDEConfig(grid=g, nu=0.05, dt=2e-3, t_final=6e-3,\n"
@@ -472,7 +458,7 @@ class TestVorticityMarch:
                                     MKL_NUM_THREADS=threads).split()
         assert len(digests) == 6 and len(digests[0]) == 128 and len(set(digests)) == 1
 
-    def test_import_starts_no_thread(self):
+    def test_import_starts_no_thread(self, fresh_python):
         assert fresh_python("import threading\n"
                             "import svns\n"
                             "from svns import action, cli, fields, flows, noether, solver, spde\n"
@@ -485,9 +471,9 @@ class TestVorticityMarch:
         cfg = SPDEConfig(grid=grid, nu=NU, dt=2e-3, t_final=6e-3, replicas=40)
         drv = BrownianDriver(seed=21, replicas=40)
         monkeypatch.setattr(spde, "_BLOCK_BYTES", 1)
-        monkeypatch.setattr(spde, "_WORKERS", 1)
+        monkeypatch.setattr(fields, "_WORKERS", 1)
         serial = spde_solve(tg, cfg, drv).coeffs
-        monkeypatch.setattr(spde, "_WORKERS", 4)
+        monkeypatch.setattr(fields, "_WORKERS", 4)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -509,7 +495,7 @@ class TestVorticityMarch:
         dw[0, 1] = 5.0
         messages = []
         for workers in (1, 2, 4):
-            monkeypatch.setattr(spde, "_WORKERS", workers)
+            monkeypatch.setattr(fields, "_WORKERS", workers)
             with pytest.raises(CFLError) as err:
                 spde_solve(tg, cfg, Replay(dw))
             messages.append(str(err.value))
@@ -519,7 +505,7 @@ class TestVorticityMarch:
     def test_failed_run_cancels_and_waits(self, monkeypatch):
         """The tasks queued after a failing one never start, and the ones
         already running finish before the error propagates."""
-        monkeypatch.setattr(spde, "_WORKERS", 2)
+        monkeypatch.setattr(fields, "_WORKERS", 2)
         started, running = [], []
 
         def task(i):
@@ -531,7 +517,7 @@ class TestVorticityMarch:
             running.remove(i)
 
         with pytest.raises(CFLError, match="block 3"):
-            spde._run([partial(task, i) for i in range(40)])
+            fields._run([partial(task, i) for i in range(40)])
         assert running == [3]
         assert len(started) < 40
 
@@ -539,7 +525,7 @@ class TestVorticityMarch:
     def test_pool_survives_fork(self, monkeypatch):
         """A child forked after the parent marched on the pool builds its own
         pool and marches to the parent's bytes."""
-        monkeypatch.setattr(spde, "_WORKERS", 2)
+        monkeypatch.setattr(fields, "_WORKERS", 2)
         parent = small_solve_digest()
         ctx = multiprocessing.get_context("fork")
         reader, writer = ctx.Pipe(duplex=False)
