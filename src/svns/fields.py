@@ -926,16 +926,16 @@ def _scatter_rows(path, table: np.ndarray, extents, width: int) -> np.ndarray:
     return out.reshape(dims + (width,))
 
 
-@functools.lru_cache(maxsize=8)
-def _snapshot_rows(n: int, ncomp: int, start: int) -> tuple[np.ndarray, np.ndarray]:
-    """The texts of snapshot rows start..start + _WRITE_ROWS of an (ncomp, n, n)
-    stack, as object arrays: each row's `k1 k2 component 0 0` line, the row
-    of two +0.0, and its format with two %.17g slots. The cache keeps the 8
-    blocks used last (~1.3 MB), every block of a trajectory's layouts at
-    32^2, so their index text is made once."""
+@functools.lru_cache(maxsize=2)
+def _snapshot_rows(n: int, ncomp: int) -> tuple[np.ndarray, np.ndarray]:
+    """The row texts of an (ncomp, n, n) snapshot layout, as object arrays:
+    each row's `k1 k2 component 0 0` line, the row of two +0.0, and its
+    format with two %.17g slots. The cache keeps the two layouts a
+    trajectory writes (velocity and tendency share one), 0.45 MB at 32^2
+    and 7.3 MB at 128^2, so their index text is made once; a miss still
+    costs less than formatting every row."""
     k = np.fft.fftfreq(n, d=1.0 / n).astype(np.int64).tolist()
-    rows = range(start, min(start + _WRITE_ROWS, ncomp * n * n))
-    index = [f"{k[r // n % n]} {k[r % n]} {r // (n * n)} " for r in rows]
+    index = [f"{k1} {k2} {c} " for c in range(ncomp) for k1 in k for k2 in k]
     return (np.array([t + "0 0\n" for t in index], dtype=object),
             np.array([t + "%.17g %.17g\n" for t in index], dtype=object))
 
@@ -947,11 +947,11 @@ def _snapshot_texts(n: int, stack: np.ndarray):
     every row with `%d %d %d %.17g %.17g`."""
     pairs = np.ascontiguousarray(stack).view(np.float64).reshape(-1, 2)
     zero = ~pairs.view(np.uint64).any(axis=1)
+    zero_rows, value_rows = _snapshot_rows(n, stack.shape[0])
     for s in range(0, len(pairs), _WRITE_ROWS):
-        zero_rows, value_rows = _snapshot_rows(n, stack.shape[0], s)
-        z = zero[s:s + _WRITE_ROWS]
-        fmt = "".join(np.where(z, zero_rows, value_rows).tolist())
-        yield fmt % tuple(pairs[s:s + _WRITE_ROWS][~z].ravel().tolist())
+        block = slice(s, s + _WRITE_ROWS)
+        fmt = "".join(np.where(zero[block], zero_rows[block], value_rows[block]).tolist())
+        yield fmt % tuple(pairs[block][~zero[block]].ravel().tolist())
 
 
 def save_field_snapshot(field, path) -> None:
@@ -966,17 +966,17 @@ def save_field_snapshot(field, path) -> None:
                       [("k1 k2 component re im", _snapshot_texts(n, stack))])
 
 
-def load_field_snapshot(path, grid: TorusGrid | None = None):
-    """Read a snapshot written by save_field_snapshot. A reader of many
-    snapshots of one grid passes it as `grid`, so that no TorusGrid is built
-    per file; the header's n must then be the grid's."""
+@functools.lru_cache(maxsize=2)
+def _snapshot_grid(n: int) -> TorusGrid:
+    """The grid of loaded n x n snapshots, one per n: grids compare by n and
+    their arrays are read-only, so the fields of many snapshots share one."""
+    return TorusGrid(n)
+
+
+def load_field_snapshot(path):
+    """Read a snapshot written by save_field_snapshot."""
     header, table = _read_checkpoint(path, ("n", "components"))
-    n, ncomp = int(header["n"]), int(header["components"])
-    if grid is None:
-        grid = TorusGrid(n)
-    elif grid.n != n:
-        raise ValueError(f"checkpoint {path} holds a field on an n = {n} grid, "
-                         f"not on the expected n = {grid.n}")
+    grid, ncomp = _snapshot_grid(int(header["n"])), int(header["components"])
     vals = _scatter_rows(path, table, [(-grid.n // 2, grid.n // 2)] * 2 + [(0, ncomp)], 2)
     # view each (re, im) pair as one complex: re + 1j * im would turn -0.0 into +0.0
     stack = np.ascontiguousarray(vals.view(np.complex128)[..., 0].transpose(2, 0, 1))

@@ -597,19 +597,18 @@ def load_trajectory(directory) -> NSTrajectory:
     if not len(table):
         raise ValueError(f"checkpoint index {path} lists no nodes")
     times = _scatter_rows(path, table, [(0, len(table))], 1)[:, 0]
-    grid = TorusGrid(int(header["n"]))
-    n = grid.n
+    n = int(header["n"])
     stacks = []
     for kind, shape in (("velocity", (2, n, n)), ("pressure", (n, n)),
                         ("tendency", (2, n, n))):
         stack = np.empty((len(times),) + shape, dtype=complex)
         for slot in range(len(times)):
             snap = os.path.join(directory, f"{kind}_{slot:05d}.txt")
-            coeffs = load_field_snapshot(snap, grid).coeffs
+            coeffs = load_field_snapshot(snap).coeffs
             if coeffs.shape != shape:
                 raise ValueError(f"checkpoint snapshot {snap} holds coefficients of shape "
                                  f"{coeffs.shape}; a {kind} snapshot of the index's n = {n} "
                                  f"has {shape}")
             stack[slot] = coeffs
         stacks.append(stack)
-    return NSTrajectory(grid, float(header["nu"]), times, *stacks)
+    return NSTrajectory(TorusGrid(n), float(header["nu"]), times, *stacks)

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from svns import fields
 from svns.fields import (
     SpectralField,
     SpectralVectorField,
@@ -137,6 +138,24 @@ def test_snapshot_of_a_band_limited_field(tmp_path):
     reference_snapshot(grid, stack, tmp_path / "ref.txt")
     assert (tmp_path / "new.txt").read_bytes() == (tmp_path / "ref.txt").read_bytes()
     assert same_bits(load_field_snapshot(tmp_path / "new.txt").coeffs, stack)
+
+
+def test_trajectory_snapshots_reuse_row_text_and_grid(tmp_path):
+    """Velocity, pressure and tendency snapshots written in a trajectory's
+    order at 64^2 (20 row blocks a node) build each layout's row text once,
+    and the snapshots read back share one grid."""
+    grid = TorusGrid(64)
+    vector = random_divergence_free(grid, seed=4, kmax=20)
+    scalar = SpectralField(grid, vector.coeffs[0])
+    fields._snapshot_rows.cache_clear()
+    for node in range(3):
+        for kind, snap in (("velocity", vector), ("pressure", scalar), ("tendency", vector)):
+            save_field_snapshot(snap, tmp_path / f"{kind}_{node}.txt")
+    assert fields._snapshot_rows.cache_info().misses == 2
+    loaded = [load_field_snapshot(tmp_path / f"{kind}_{node}.txt")
+              for node in range(3) for kind in ("velocity", "pressure")]
+    assert all(f.grid is loaded[0].grid for f in loaded)
+    assert same_bits(loaded[-1].coeffs, scalar.coeffs)
 
 
 @settings(max_examples=25, deadline=None)
