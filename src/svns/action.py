@@ -295,9 +295,9 @@ class _ActionObserver(FlowObserver):
         self.k1 = np.zeros((npert, replicas))
         self.k2 = np.zeros((npert, replicas))
         self.c = np.zeros((npert, 4, replicas))  # c1..c4
-        self.htr_max = np.zeros(npert)
-        self.hdet_max = np.zeros(npert)
-        self.det_defect_max = 0.0
+        self.htr_max = np.zeros((npert, replicas))  # per-replica running maxima
+        self.hdet_max = np.zeros((npert, replicas))
+        self.det_defect_max = np.zeros(replicas)
         w_ids = [i for i, p in enumerate(perts) if p._w_stack is not None]
         phi_ids = [i for i, p in enumerate(perts) if p.phi_coeffs is not None]
         rows = ([perts[i]._w_stack[j] for j in range(8) for i in w_ids]
@@ -307,28 +307,25 @@ class _ActionObserver(FlowObserver):
         self._phi_ids = np.asarray(phi_ids, dtype=int)
         self._mixed = np.array([(w_ids.index(i), f) for f, i in enumerate(phi_ids)
                                 if i in w_ids], dtype=int).reshape(-1, 2).T
-        self._node_t = None
 
-    def accumulate(self, node, t, ens, drift_values, drift_grads, weight):
-        table = self.node_table(ens)
-        r = self.block
-        wi = self._w_ids
-        if self._node_t != t:  # the node's blocks share what depends on t alone
-            g = self.grid
-            pc = self.pressure.coeffs_at(t)
-            prows = [pc]
-            if wi.size:
-                # p along g + eps h expands through grad p and Hess p
-                prows += [1j * g.k1 * pc, 1j * g.k2 * pc,
-                          -g.k1 * g.k1 * pc, -g.k1 * g.k2 * pc, -g.k2 * g.k2 * pc]
-            self._pressure_eval = PointEvaluator(g, np.stack(prows))
-            self._a = np.array([p.envelope.value(t) for p in self.perts])
-            self._da = np.array([p.envelope.derivative(t) for p in self.perts])
-            self._node_t = t
+    def start_node(self, node, t):
+        g = self.grid
+        pc = self.pressure.coeffs_at(t)
+        prows = [pc]
+        if self._w_ids.size:
+            # p along g + eps h expands through grad p and Hess p
+            prows += [1j * g.k1 * pc, 1j * g.k2 * pc,
+                      -g.k1 * g.k1 * pc, -g.k1 * g.k2 * pc, -g.k2 * g.k2 * pc]
+        self._pressure_eval = PointEvaluator(g, np.stack(prows))
+        self._a = np.array([p.envelope.value(t) for p in self.perts])
+        self._da = np.array([p.envelope.derivative(t) for p in self.perts])
+
+    def accumulate(self, node, t, ens, drift_values, drift_grads, weight, block):
+        table, r, wi = block.table, block.rows, self._w_ids
         pstack = table.evaluate(self._pressure_eval)
         det = det_jacobian(ens)
         dm1 = det - 1.0
-        self.det_defect_max = float(np.maximum(self.det_defect_max, np.max(np.abs(dm1))))
+        self.det_defect_max[r] = np.maximum(self.det_defect_max[r], np.abs(dm1).max(axis=1))
         v = np.moveaxis(drift_values, -1, 0).copy()
         self.k0[r] += weight * _lattice_quadrature(v[0] ** 2 + v[1] ** 2)
         self.b0[r] += weight * _lattice_quadrature(pstack[0] * dm1)
@@ -379,10 +376,10 @@ class _ActionObserver(FlowObserver):
                                  * sums[5:].transpose(1, 0, 2))
         # a >= 0, so max |a T| = a max |T| bit for bit, and likewise for a^2
         # Dt; max |x| as max(max x, -min x): no |x| temporary, the same bits
-        tr_max = np.maximum(T.max(axis=(1, 2)), -T.min(axis=(1, 2)))
-        det_max = np.maximum(Dt.max(axis=(1, 2)), -Dt.min(axis=(1, 2)))
-        self.htr_max[wi] = np.maximum(self.htr_max[wi], a[:, 0] * tr_max)
-        self.hdet_max[wi] = np.maximum(self.hdet_max[wi], a2[:, 0] * det_max)
+        tr_max = np.maximum(T.max(axis=2), -T.min(axis=2))
+        det_max = np.maximum(Dt.max(axis=2), -Dt.min(axis=2))
+        self.htr_max[wi, r] = np.maximum(self.htr_max[wi, r], a * tr_max)
+        self.hdet_max[wi, r] = np.maximum(self.hdet_max[wi, r], a2 * det_max)
 
 
 @dataclass(eq=False)
@@ -451,9 +448,9 @@ def prepare_action_run(drift: DriftField, pressure, *, nu: float, dt: float,
         drift, lambda replicas, steps: _ActionObserver(drift.grid, pressure, perts, replicas, nu),
         nu=nu, dt=dt, t_final=t_final, driver=driver, ensemble=ensemble,
         stride=stride, quadrature=quadrature)
-    return ActionRun(drift.grid, nu, dt, t_final, perts,
-                     obs.k0, obs.b0, obs.k1, obs.k2, obs.c,
-                     obs.htr_max, obs.hdet_max, obs.det_defect_max, final)
+    return ActionRun(drift.grid, nu, dt, t_final, perts, obs.k0, obs.b0, obs.k1, obs.k2, obs.c,
+                     obs.htr_max.max(axis=1), obs.hdet_max.max(axis=1),
+                     float(obs.det_defect_max.max()), final)
 
 
 def _breakdown(s1: np.ndarray, s2: np.ndarray) -> ActionBreakdown:
@@ -548,25 +545,22 @@ class _PairingObserver(FlowObserver):
         self.residual_norm = 0.0
         # only the value rows of w pair with the residual
         self.w_eval = None if pert.w_coeffs is None else PointEvaluator(grid, pert.w_coeffs)
-        self._node_t = None
 
-    def accumulate(self, node, t, ens, drift_values, drift_grads, weight):
-        if self._node_t != t:  # the residual, once for the node's blocks
-            res = _momentum_residual(self.grid, self.drift.coeffs_at(t),
-                                     self.drift.velocity_dt_coeffs_at(t),
-                                     self.pressure.coeffs_at(t), self.nu)
-            self.residual_norm = float(np.maximum(self.residual_norm,
-                                                  np.max(np.abs(_ifft(res)))))
-            self._node_t = t
-            self._residual_eval = None if self.w_eval is None else PointEvaluator(self.grid, res)
+    def start_node(self, node, t):
+        res = _momentum_residual(self.grid, self.drift.coeffs_at(t),
+                                 self.drift.velocity_dt_coeffs_at(t),
+                                 self.pressure.coeffs_at(t), self.nu)
+        self.residual_norm = float(np.maximum(self.residual_norm, np.max(np.abs(_ifft(res)))))
+        self._residual_eval = None if self.w_eval is None else PointEvaluator(self.grid, res)
+
+    def accumulate(self, node, t, ens, drift_values, drift_grads, weight, block):
         if self.w_eval is None:
             return
-        table = self.node_table(ens)
-        rvals = table.evaluate(self._residual_eval)
+        rvals = block.table.evaluate(self._residual_eval)
         a = self.pert.envelope.value(t)
-        w = table.evaluate(self.w_eval)
+        w = block.table.evaluate(self.w_eval)
         pair = a * (rvals[0] * w[0] + rvals[1] * w[1])
-        self.acc[self.block] += weight * _lattice_quadrature(pair)
+        self.acc[block.rows] += weight * _lattice_quadrature(pair)
 
 
 def euler_lagrange_residual(drift: DriftField, pressure, pert: PerturbationField, *,

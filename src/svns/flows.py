@@ -17,6 +17,7 @@ shape, or thread count.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -34,6 +35,7 @@ __all__ = [
     "jacobian_step",
     "run_flow",
     "FlowObserver",
+    "FlowBlock",
     "simpson_weights",
     "trapezoid_weights",
     "det_jacobian",
@@ -274,32 +276,32 @@ def flow_step(ens: FlowEnsemble, drift: DriftField, nu: float, dt: float,
     return run_flow(ens, drift, nu, dt, 1, driver)
 
 
+# one block's context for FlowObserver.accumulate
+FlowBlock = namedtuple("FlowBlock", "rows table dw")
+
+
 class FlowObserver:
-    """Per-node hook for run_flow; accumulate is called at every node.
+    """Hooks for run_flow at every node, including both ends.
 
-    `weight` carries the time-quadrature weight of the node (zero when the
-    caller asked for no quadrature), drift_values/drift_grads the drift and
-    its gradient already evaluated at the current positions.
-
-    run_flow calls accumulate once per block of replicas at every node, so
-    `ens` and the drift arrays hold that block only, and the observer writes
-    its per-replica rows through `block`, the slice of the block's replicas.
-    Meanwhile `table` holds the PhaseTable of the positions the drift was
-    evaluated at and `dw` their increments for the step out of the node
-    (None at the last); `node_table` returns the table, or builds one
-    outside run_flow.
+    run_flow calls start_node(node, t) once per node, serially, before any of
+    the node's blocks, for the work that depends on the node alone. It then
+    calls accumulate once per block of whole replicas, so `ens` and the
+    drift arrays hold that block only. `weight` carries the time-quadrature
+    weight of the node (zero when the caller asked for no quadrature),
+    drift_values/drift_grads the drift and its gradient already evaluated at
+    the block's positions. `block` is a FlowBlock: `rows`, the slice of the
+    block's replicas, the only rows of its per-replica arrays an observer
+    writes; `table`, the PhaseTable of the positions the drift was evaluated
+    at; and `dw`, their increments for the step out of the node (None at the
+    last).
     """
 
-    table: PhaseTable | None = None
-    block = slice(None)
-    dw: np.ndarray | None = None
-
-    def node_table(self, ens: FlowEnsemble) -> PhaseTable:
-        return self.table if self.table is not None else PhaseTable(ens.positions)
+    def start_node(self, node: int, t: float) -> None:
+        pass
 
     def accumulate(self, node: int, t: float, ens: FlowEnsemble,
                    drift_values: np.ndarray, drift_grads: np.ndarray | None,
-                   weight: float) -> None:
+                   weight: float, block: FlowBlock) -> None:
         raise NotImplementedError
 
 
@@ -372,13 +374,16 @@ def run_flow(ens: FlowEnsemble, drift: DriftField, nu: float, dt: float,
     observer the last node has no reader, and its drift is not evaluated.
 
     Replicas never interact, so each node runs in blocks of whole replicas
-    of at most _BLOCK_POINTS points, and every observer is called once per
-    block. One PhaseTable of a block's positions serves the drift (when it
-    is a DriftField; other drift objects get the raw positions) and every
-    observer, through `table`; it is released before the block's step, whose
-    predictor stage builds one table of its own.
+    of at most _BLOCK_POINTS points: every observer's start_node is called
+    once per node, then its accumulate once per block. One PhaseTable of a
+    block's positions serves the drift (when it is a DriftField; other drift
+    objects get the raw positions) and every observer, through the block's
+    FlowBlock; it is released before the block's step, whose predictor stage
+    builds one table of its own.
     """
     _check_step(nu, dt)
+    if steps < 0:
+        raise ValueError(f"steps must be non-negative, got {steps}")
     if weights is not None and len(weights) != steps + 1:
         raise ValueError("weights must have steps+1 entries")
     if driver.replicas != ens.replicas:
@@ -388,6 +393,8 @@ def run_flow(ens: FlowEnsemble, drift: DriftField, nu: float, dt: float,
         if i == steps and not observers:  # nothing reads the last node's drift
             return ens
         w = 0.0 if weights is None else float(weights[i])
+        for obs in observers:
+            obs.start_node(i, ens.t)
         stepped = []
         for s in range(0, ens.replicas, size):
             b = slice(s, min(s + size, ens.replicas))
@@ -401,13 +408,10 @@ def run_flow(ens: FlowEnsemble, drift: DriftField, nu: float, dt: float,
                 v1, h1 = drift.velocity(ens.t, points), None
             dw = (driver.increments(ens.step_index, dt, s, part.replicas) if i < steps
                   else None)
+            block = FlowBlock(b, table, dw)
             for obs in observers:
-                obs.table, obs.block, obs.dw = table, b, dw
-                try:
-                    obs.accumulate(i, ens.t, part, v1, h1, w)
-                finally:
-                    obs.table, obs.block, obs.dw = None, slice(None), None
-            del table, points
+                obs.accumulate(i, ens.t, part, v1, h1, w, block)
+            del block, table, points
             if dw is not None:
                 stepped.append(_step_core(part, drift, nu, dt, dw, v1, h1))
         if stepped:

@@ -493,16 +493,16 @@ class _TildeObserver(_ActionObserver):
         self.mart = np.zeros(replicas)
         self.wiener = np.zeros(replicas)
 
-    def accumulate(self, node, t, ens, drift_values, drift_grads, weight):
-        super().accumulate(node, t, ens, drift_values, drift_grads, weight)
-        if self.dw is not None:
+    def accumulate(self, node, t, ens, drift_values, drift_grads, weight, block):
+        super().accumulate(node, t, ens, drift_values, drift_grads, weight, block)
+        if block.dw is not None:
             # left-endpoint Ito sums against the increment the flow's
             # coming step consumes
             v1 = _lattice_quadrature(drift_values[..., 0])
             v2 = _lattice_quadrature(drift_values[..., 1])
-            dm = np.sqrt(2.0 * self.nu) * self.dw
-            self.mart[self.block] += v1 * dm[:, 0] + v2 * dm[:, 1]
-            self.wiener[self.block] += v1 * self.dw[:, 0] + v2 * self.dw[:, 1]
+            dm = np.sqrt(2.0 * self.nu) * block.dw
+            self.mart[block.rows] += v1 * dm[:, 0] + v2 * dm[:, 1]
+            self.wiener[block.rows] += v1 * block.dw[:, 0] + v2 * block.dw[:, 1]
 
 
 def run_semimartingale_flow(drift: DriftField, pressure, *, nu: float, dt: float,

@@ -83,6 +83,7 @@ from svns.fields import (
 )
 from svns.flows import (
     BrownianDriver,
+    FlowBlock,
     FlowEnsemble,
     _lattice_quadrature,
     _material_rows,
@@ -562,7 +563,9 @@ class TestObserverContractions:
         t = node * SMALL_T / 4  # the stored nodes; a and a' both vary
         weight = float(rng.uniform(0.1, 2.0))
         obs = _ActionObserver(SMALL, small_pressure(pressure, rng), perts, replicas, NU)
-        obs.accumulate(0, t, ens, v, None, weight)
+        obs.start_node(0, t)
+        obs.accumulate(0, t, ens, v, None, weight,
+                       FlowBlock(slice(None), PhaseTable(ens.positions), None))
         ref = reference_accumulate(obs, t, ens, v, weight)
         scale = reference_accumulate(obs, t, ens, v, weight, absolute=True)
         assert np.array_equal(obs.k0, ref["k0"])
@@ -570,8 +573,8 @@ class TestObserverContractions:
         for name, got in (("k1", obs.k1), ("k2", obs.k2), ("c", obs.c)):
             assert got.shape == ref[name].shape
             assert np.all(np.abs(got - ref[name]) <= 1e-12 * scale[name]), name
-        assert np.array_equal(obs.htr_max, ref["htr"])
-        assert np.array_equal(obs.hdet_max, ref["hdet"])
+        assert np.array_equal(obs.htr_max.max(axis=1), ref["htr"])
+        assert np.array_equal(obs.hdet_max.max(axis=1), ref["hdet"])
         phi_only = [i for i, kind in enumerate(kinds) if kind == "phi"]
         assert np.all(obs.k1[phi_only] == 0.0)
         assert np.all(obs.c[phi_only, 1:] == 0.0)
@@ -736,14 +739,18 @@ class TestValidation:
         assert np.array_equal(p.coeffs_at(0.0), c)
         assert np.array_equal(p.coeffs_at(0.37), c)
 
-    def test_nan_jacobian_shows_in_the_det_defect(self, grid):
-        """The running maxima keep a NaN instead of dropping it."""
-        ens = make_flow_ensemble(grid, 2, stride=8)
-        ens.jacobians[0, 3, 1, 1] = np.nan
-        run = prepare_action_run(SteadyDrift(taylor_green(grid)), ZeroPressure(grid), nu=NU,
-                                 dt=DT, t_final=2 * DT, driver=BrownianDriver(seed=1, replicas=2),
-                                 ensemble=ens)
-        assert np.isnan(run.det_defect_max)
+    def test_nan_jacobian_shows_in_the_det_defect(self, grid, monkeypatch):
+        """The running maxima keep a NaN instead of dropping it: in the one
+        block of the default budget, and in the last of several one-replica
+        blocks."""
+        for replica, budget in ((0, flows._BLOCK_POINTS), (2, (grid.n // 8) ** 2)):
+            monkeypatch.setattr(flows, "_BLOCK_POINTS", budget)
+            ens = make_flow_ensemble(grid, 3, stride=8)
+            ens.jacobians[replica, 3, 1, 1] = np.nan
+            run = prepare_action_run(SteadyDrift(taylor_green(grid)), ZeroPressure(grid), nu=NU,
+                                     dt=DT, t_final=2 * DT,
+                                     driver=BrownianDriver(seed=1, replicas=3), ensemble=ens)
+            assert np.isnan(run.det_defect_max), replica
 
     def test_nan_pressure_shows_in_the_residual_norm(self, grid):
         bad = np.zeros((grid.n, grid.n), dtype=complex)

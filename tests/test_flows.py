@@ -252,6 +252,13 @@ class TestFlowStep:
         with pytest.raises(ValueError, match="stride"):
             make_flow_ensemble(GRID, replicas=1, stride=stride)
 
+    @pytest.mark.parametrize("steps", [-1, -3])
+    def test_negative_step_count_rejected(self, steps):
+        """No silent return of the input ensemble at t = 0."""
+        ens = make_flow_ensemble(GRID, replicas=2, stride=8)
+        with pytest.raises(ValueError, match="steps"):
+            run_flow(ens, zero_drift(), 0.0, 1e-2, steps, BrownianDriver(seed=1, replicas=2))
+
 
 class TestCompressibleFlow:
     """One-dimensional compressible drift with closed-form flow and Jacobian."""
@@ -334,7 +341,7 @@ class TestRunFlow:
                 return super().velocity_and_gradient(t, points)
 
         class Idle(FlowObserver):
-            def accumulate(self, node, t, ens, v, h, weight):
+            def accumulate(self, node, t, ens, v, h, weight, block):
                 pass
 
         nu, dt, steps = 0.02, 2e-3, 5
@@ -354,7 +361,7 @@ class TestRunFlow:
         records = []
 
         class Probe(FlowObserver):
-            def accumulate(self, node, t, ens, v, h, weight):
+            def accumulate(self, node, t, ens, v, h, weight, block):
                 records.append((node, t, weight, v.shape, h.shape))
 
         drift = tg_drift()
@@ -369,7 +376,7 @@ class TestRunFlow:
 
     def test_one_phase_table_per_node_and_predictor(self, monkeypatch):
         """The drift and the observers share the node's table; the predictor
-        stage builds one more, and no table stays attached after the node."""
+        stage builds one more."""
         built = []
         init = PhaseTable.__init__
 
@@ -382,8 +389,8 @@ class TestRunFlow:
         tables = []
 
         class Probe(FlowObserver):
-            def accumulate(self, node, t, ens, v, h, weight):
-                table = self.node_table(ens)
+            def accumulate(self, node, t, ens, v, h, weight, block):
+                table = block.table
                 tables.append(table)
                 # the shared table evaluates the drift the observer was given
                 np.testing.assert_allclose(drift.velocity(t, table), v, rtol=0, atol=1e-14)
@@ -395,19 +402,22 @@ class TestRunFlow:
                  observers=(probe,))
         assert len(built) == (steps + 1) + steps
         assert len({id(t) for t in tables}) == steps + 1
-        assert probe.table is None
         np.testing.assert_array_equal(built[0], ens0.positions)
 
     def test_observers_see_replica_blocks(self, monkeypatch):
-        """With a budget of two replicas, a plain observer is called once per
-        block with its slice and that block's table; the path is the same
-        bytes as with the default budget, which holds all five replicas."""
+        """With a budget of two replicas, a plain observer is started once per
+        node, before the node's blocks, then called once per block with its
+        rows and that block's table; the path is the same bytes as with the
+        default budget, which holds all five replicas."""
         seen = []
 
         class Probe(FlowObserver):
-            def accumulate(self, node, t, ens, v, h, weight):
-                assert v.shape[0] == ens.replicas == self.node_table(ens).npts // 16
-                seen.append((node, self.block))
+            def start_node(self, node, t):
+                seen.append((node, "start"))
+
+            def accumulate(self, node, t, ens, v, h, weight, block):
+                assert v.shape[0] == ens.replicas == block.table.npts // 16
+                seen.append((node, block.rows))
 
         def run(obs=()):
             return run_flow(make_flow_ensemble(GRID, replicas=5, stride=8), tg_drift(), 0.02,
@@ -416,7 +426,8 @@ class TestRunFlow:
         whole = run()
         monkeypatch.setattr(flows, "_BLOCK_POINTS", 2 * 16)  # 16 points per replica
         blocks = run((Probe(),))
-        assert seen == [(n, slice(s, min(s + 2, 5))) for n in range(4) for s in (0, 2, 4)]
+        assert seen == [entry for n in range(4) for entry in
+                        [(n, "start")] + [(n, slice(s, min(s + 2, 5))) for s in (0, 2, 4)]]
         assert whole.positions.tobytes() == blocks.positions.tobytes()
         assert whole.jacobians.tobytes() == blocks.jacobians.tobytes()
 
@@ -424,8 +435,8 @@ class TestRunFlow:
         records = []
 
         class Probe(FlowObserver):
-            def accumulate(self, node, t, ens, v, h, weight):
-                records.append(self.node_table(ens).npts)
+            def accumulate(self, node, t, ens, v, h, weight, block):
+                records.append(block.table.npts)
 
         amp, pts = 0.7, np.array([[0.5, 1.5], [2.0, 4.0], [5.0, 0.25]])
         ens = make_flow_ensemble(GRID, replicas=2, initial_points=pts)

@@ -947,15 +947,15 @@ class TestTildeAction:
                 self.mart = np.zeros(replicas)
                 self.wiener = np.zeros(replicas)
 
-            def accumulate(self, node, t, ens, drift_values, drift_grads, weight):
+            def accumulate(self, node, t, ens, drift_values, drift_grads, weight, block):
                 if node < steps:
-                    start, stop, _ = self.block.indices(replicas)
+                    start, stop, _ = block.rows.indices(replicas)
                     dw = self.driver.increments(node, dt, start, stop - start)
                     v1 = _lattice_quadrature(drift_values[..., 0])
                     v2 = _lattice_quadrature(drift_values[..., 1])
                     dm = np.sqrt(2.0 * NU) * dw
-                    self.mart[self.block] += v1 * dm[:, 0] + v2 * dm[:, 1]
-                    self.wiener[self.block] += v1 * dw[:, 0] + v2 * dw[:, 1]
+                    self.mart[block.rows] += v1 * dm[:, 0] + v2 * dm[:, 1]
+                    self.wiener[block.rows] += v1 * dw[:, 0] + v2 * dw[:, 1]
 
         drv = Counting(seed=402, replicas=replicas)
         run = run_semimartingale_flow(drift, pressure, nu=NU, dt=dt, t_final=steps * dt,
